@@ -156,7 +156,8 @@ class _EventEnv:
     action_names: Tuple[str, ...] = ()
 
     def __init__(self, config: Optional[EnvConfig] = None):
-        self.config = config if config is not None else EnvConfig()
+        # a private copy: subclasses fill in `dynamics` without touching the caller's
+        self.config = replace(config) if config is not None else EnvConfig()
         self._root_seq = np.random.SeedSequence(self.config.seed)
         self._scenery = default_scenery(self.task) if self.config.scenery else []
         self._rng: Optional[np.random.Generator] = None

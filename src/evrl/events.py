@@ -132,6 +132,6 @@ def inject_impulse_noise(frame: EventFrame, noise_prob: float, rng: np.random.Ge
     if noise_prob == 0.0:
         return out
     hit = rng.random(frame.shape) < noise_prob
-    sign = np.where(rng.random(frame.shape) < 0.5, -1, 1).astype(np.int8)
-    out[hit] = sign[hit]
+    coin = rng.random(frame.shape)  # every pixel draws: seeded streams rely on it
+    out[hit] = np.where(coin[hit] < 0.5, -1, 1)
     return out

@@ -12,10 +12,14 @@ Pixel conventions: column x grows rightward, row y grows downward, pixel
 (x, y) covers the unit square [x, x+1) x [y, y+1) and its primary ray
 passes through the square's center. The horizontal field of view spans
 the full sensor width; pixels are square.
+
+Each object is ray-cast only inside the screen rectangle its bounding
+sphere can cover; the frame is identical to a cast over every pixel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -124,21 +128,31 @@ def project(point: np.ndarray, camera: CameraModel) -> Optional[Tuple[int, int]]
     return px, py
 
 
-# Per-(width, height, fov) grids of camera-frame ray components, so repeated
-# renders with the same sensor reuse them. dir = forward + a*right + b*up.
-_GRID_CACHE: dict = {}
-
-
+# Both caches are keyed by sensor, and the background also by eye height;
+# an env renders from one of each, so a few entries cover every caller.
+@functools.lru_cache(maxsize=8)
 def _camera_grid(width: int, height: int, fov: float):
-    key = (width, height, fov)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        f = (width / 2.0) / math.tan(fov / 2.0)
-        a = (np.arange(width, dtype=np.float64) + 0.5 - width / 2.0) / f
-        b = (height / 2.0 - (np.arange(height, dtype=np.float64) + 0.5)) / f
-        grid = (np.broadcast_to(a, (height, width)), np.broadcast_to(b[:, None], (height, width)))
-        _GRID_CACHE[key] = grid
-    return grid
+    """Camera-frame ray components (a, b): dir = forward + a*right + b*up."""
+    f = (width / 2.0) / math.tan(fov / 2.0)
+    a = (np.arange(width, dtype=np.float64) + 0.5 - width / 2.0) / f
+    b = (height / 2.0 - (np.arange(height, dtype=np.float64) + 0.5)) / f
+    return np.broadcast_to(a, (height, width)), np.broadcast_to(b[:, None], (height, width))
+
+
+@functools.lru_cache(maxsize=8)
+def _background(width: int, height: int, fov: float, eye_z: float):
+    """Read-only (t, intensity) of the horizon: ground below, sky above.
+
+    Independent of yaw and of the camera's x/y position.
+    """
+    _, dz = _camera_grid(width, height, fov)
+    below = dz < 0.0
+    t_ground = np.where(below, -eye_z / np.where(below, dz, -1.0), np.inf)
+    grounded = below & (t_ground > _RAY_EPS)
+    t_bg = np.where(grounded, t_ground, np.inf)
+    i_bg = np.where(grounded, GROUND_INTENSITY, SKY_INTENSITY)
+    t_bg.flags.writeable = i_bg.flags.writeable = False
+    return t_bg, i_bg
 
 
 def _intersect_sphere(eye, dx, dy, dz, center, radius):
@@ -175,6 +189,41 @@ def _intersect_box(eye, dx, dy, dz, center, half):
     return np.where(hit & (t > _RAY_EPS), t, np.inf)
 
 
+def _tan_span(p: float, q: float, r: float):
+    """Range of p'/q' over the points (p', q') with q' > 0 of the disk of
+    radius r at (p, q): None when there are none, unbounded if it holds 0."""
+    d = math.hypot(p, q)
+    if d <= r:
+        return -math.inf, math.inf
+    phi, half = math.atan2(p, q), math.asin(r / d)
+    lo, hi = max(phi - half, -math.pi / 2), min(phi + half, math.pi / 2)
+    return (math.tan(lo), math.tan(hi)) if lo < hi else None
+
+
+def _screen_rect(obj: SceneObject, camera: CameraModel, eye: np.ndarray):
+    """Slice of the frame holding every pixel whose primary ray can hit the
+    object, with a 1-pixel margin for roundoff; None when no pixel can.
+
+    The object's bounding sphere, seen along each sensor axis, is a disk
+    in the plane of that axis and depth; its tangent rays bound the slice.
+    """
+    forward, right, up = camera.basis()
+    rel = obj.center - eye
+    zc = float(rel @ forward)
+    r = obj.radius_or_half_extent * (math.sqrt(3.0) if obj.shape == "box" else 1.0)
+    xs = _tan_span(float(rel @ right), zc, r)
+    ys = _tan_span(float(rel @ up), zc, r)
+    if xs is None or ys is None:
+        return None
+    f, w, h = camera.focal_px, camera.width, camera.height
+    # pixel i's ray passes through i + 0.5; clamp before floor() sees inf
+    c0 = max(math.floor(max(w / 2.0 + f * xs[0], -1.0) - 0.5) - 1, 0)
+    c1 = min(math.floor(min(w / 2.0 + f * xs[1], w + 1.0) - 0.5) + 2, w)
+    r0 = max(math.floor(max(h / 2.0 - f * ys[1], -1.0) - 0.5) - 1, 0)
+    r1 = min(math.floor(min(h / 2.0 - f * ys[0], h + 1.0) - 0.5) + 2, h)
+    return np.s_[r0:r1, c0:c1] if c0 < c1 and r0 < r1 else None
+
+
 def render(scene: Sequence[SceneObject], camera: CameraModel) -> IntensityFrame:
     """Log-intensity frame of the scene from the camera's pose.
 
@@ -184,25 +233,23 @@ def render(scene: Sequence[SceneObject], camera: CameraModel) -> IntensityFrame:
     """
     a, b = _camera_grid(camera.width, camera.height, camera.horizontal_fov)
     c, s = math.cos(camera.yaw), math.sin(camera.yaw)
-    # dir = forward + a*right + b*up with the pitch-0 basis written out.
-    dx = c + a * s
-    dy = s - a * c
-    dz = b
     eye = camera.eye
-
-    below = dz < 0.0
-    t_ground = np.where(below, -eye[2] / np.where(below, dz, -1.0), np.inf)
-    grounded = below & (t_ground > _RAY_EPS)
-    t_best = np.where(grounded, t_ground, np.inf)
-    intensity = np.where(grounded, GROUND_INTENSITY, SKY_INTENSITY)
+    t_best, intensity = (x.copy() for x in _background(
+        camera.width, camera.height, camera.horizontal_fov, float(eye[2])))
 
     for obj in scene:
+        win = _screen_rect(obj, camera, eye)
+        if win is None:
+            continue
+        aw = a[win]
+        # dir = forward + a*right + b*up with the pitch-0 basis written out.
+        dx, dy, dz = c + aw * s, s - aw * c, b[win]
         if obj.shape == "sphere":
             t = _intersect_sphere(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
         else:
             t = _intersect_box(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
-        closer = t < t_best
-        intensity = np.where(closer, obj.intensity, intensity)
-        t_best = np.where(closer, t, t_best)
+        closer = t < t_best[win]
+        intensity[win][closer] = obj.intensity
+        t_best[win][closer] = t[closer]
 
     return np.log(intensity).astype(np.float32)

@@ -17,8 +17,12 @@ accumulating the window's events into a frame and taking the argmax of
 an eval-mode forward pass. Latency covers conversion plus inference on
 a monotonic clock.
 
-A malformed line draws an error and closes the connection; events older
-than the current window draw an error but keep the session alive.
+Every event field must be a JSON integer (not a float or a boolean), with
+0 <= t < 2**64, 0 <= x < W, 0 <= y < H and p in {-1, 1}. A malformed
+line draws an error and closes the connection; events older than the
+current window draw an error but keep the session alive. A session that
+fails in any other way is closed, and the server goes on accepting
+connections.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import socket
 import threading
 import time
+import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +39,10 @@ import numpy as np
 from . import qnet
 from .events import accumulate_events, events_array
 from .qnet import QNetworkParams
+
+
+# Timestamps are stored as uint64 microseconds (EVENT_DTYPE).
+_T_LIMIT = 2 ** 64
 
 
 class LateEventError(ValueError):
@@ -163,6 +172,8 @@ class ActionService:
                     break  # listener closed by shutdown()
                 try:
                     self._handle_session(conn)
+                except Exception:  # one broken session must not stop the listener
+                    traceback.print_exc()
                 finally:
                     try:
                         conn.close()
@@ -222,10 +233,20 @@ class ActionService:
     def _ingest(self, bucketer: WindowBucketer, events, send):
         if not isinstance(events, list):
             raise ValueError("events must be a list")
+        # hello has checked that the stream's resolution is the checkpoint's
+        width, height = self.params.cfg.width, self.params.cfg.height
         prev_t = None
         parsed = []
         for item in events:
-            t, x, y, p = (int(v) for v in item)
+            if type(item) is not list or len(item) != 4:
+                raise ValueError(f"event must be [t, x, y, p], got {item!r}")
+            t, x, y, p = item
+            if not (type(t) is int and type(x) is int and type(y) is int
+                    and type(p) is int):
+                raise ValueError(f"event fields must be integers, got {item!r}")
+            if not (0 <= x < width and 0 <= y < height and 0 <= t < _T_LIMIT):
+                raise ValueError(f"event {item!r} outside t >= 0 and the "
+                                 f"{width}x{height} sensor")
             if prev_t is not None and t < prev_t:
                 raise ValueError("events within a message must be sorted by t")
             if p not in (-1, 1):

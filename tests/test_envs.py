@@ -143,6 +143,12 @@ class TestEpisodeProtocol:
         with pytest.raises(ValueError):
             default_scenery("juggling")
 
+    def test_envs_leave_the_callers_config_alone(self):
+        cfg = small_config()
+        AvoidanceEnv(cfg)
+        TrackingEnv(cfg).reset(seed=0)  # would see AvoidanceDynamics if shared
+        assert cfg.dynamics is None
+
 
 class TestAvoidance:
     def test_action_space(self):

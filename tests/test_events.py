@@ -144,6 +144,21 @@ class TestImpulseNoise:
         b = inject_impulse_noise(frame, 0.05, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    def test_matches_full_frame_sign_reference(self):
+        # seeded fixtures rest on this stream: a hit mask, then a fair coin
+        # drawn for every pixel, whether or not it was hit
+        for seed in range(20):
+            frame = np.random.default_rng(seed).choice(
+                np.array([-1, 0, 1], dtype=np.int8), size=(37, 61))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = inject_impulse_noise(frame, 0.05, rng)
+            want = frame.copy()
+            hit = ref_rng.random(frame.shape) < 0.05
+            sign = np.where(ref_rng.random(frame.shape) < 0.5, -1, 1).astype(np.int8)
+            want[hit] = sign[hit]
+            assert out.dtype == np.int8 and np.array_equal(out, want)
+            assert rng.random() == ref_rng.random()
+
 
 class TestEventsArray:
     def test_dtype_layout(self):

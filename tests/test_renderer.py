@@ -1,15 +1,51 @@
 """Projection and ray-cast rendering against analytic/brute-force oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from evrl import envs, renderer
 from evrl.renderer import (GROUND_INTENSITY, SKY_INTENSITY, CameraModel,
                            SceneObject, project, render, vec3)
 
 LOG_SKY = np.float32(math.log(SKY_INTENSITY))
 LOG_GROUND = np.float32(math.log(GROUND_INTENSITY))
+
+
+def full_frame_render(scene, camera):
+    """Oracle: every object ray-cast against every pixel, no culling."""
+    a, b = renderer._camera_grid(camera.width, camera.height, camera.horizontal_fov)
+    c, s = math.cos(camera.yaw), math.sin(camera.yaw)
+    dx = c + a * s
+    dy = s - a * c
+    dz = b
+    eye = camera.eye
+
+    below = dz < 0.0
+    t_ground = np.where(below, -eye[2] / np.where(below, dz, -1.0), np.inf)
+    grounded = below & (t_ground > renderer._RAY_EPS)
+    t_best = np.where(grounded, t_ground, np.inf)
+    intensity = np.where(grounded, GROUND_INTENSITY, SKY_INTENSITY)
+
+    for obj in scene:
+        if obj.shape == "sphere":
+            t = renderer._intersect_sphere(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
+        else:
+            t = renderer._intersect_box(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
+        closer = t < t_best
+        intensity = np.where(closer, obj.intensity, intensity)
+        t_best = np.where(closer, t, t_best)
+
+    return np.log(intensity).astype(np.float32)
+
+
+def assert_matches_full_frame(scene, camera):
+    """Bit-equality with the oracle; returns the number of object pixels."""
+    want = full_frame_render(scene, camera)
+    assert np.array_equal(render(scene, camera), want)
+    return int(sum((want == np.float32(math.log(o.intensity))).sum() for o in scene))
 
 
 def pixel_center_ray(camera, px, py):
@@ -186,3 +222,101 @@ class TestValidation:
             SceneObject("sphere", vec3(1, 0, 0), 0.0)
         with pytest.raises(ValueError):
             SceneObject("sphere", vec3(1, 0, 0), 0.5, intensity=0.0)
+
+
+class TestCulling:
+    """The culled renderer against the full-frame oracle."""
+
+    @pytest.mark.parametrize("size", [(240, 180), (64, 48)])
+    @pytest.mark.parametrize("env_cls", [envs.AvoidanceEnv, envs.TrackingEnv])
+    def test_seeded_episodes_match(self, monkeypatch, env_cls, size):
+        checked = []
+
+        def checked_render(scene, camera):
+            frame = render(scene, camera)
+            assert np.array_equal(frame, full_frame_render(scene, camera))
+            checked.append(1)
+            return frame
+
+        monkeypatch.setattr(envs, "render", checked_render)
+        for seed in range(2):
+            env = env_cls(envs.EnvConfig(sensor=CameraModel(*size)))
+            env.reset(seed=seed)
+            pol = np.random.default_rng(seed)
+            while not env.step(int(pol.integers(env.action_count))).done:
+                pass
+        assert len(checked) > 100
+
+    def test_sphere_straddling_camera_plane(self):
+        cam = CameraModel(width=64, height=48, yaw=0.4, position=vec3(0.0, 0.0, 1.0))
+        forward, right, up = cam.basis()
+        for side in (right, -right, up, -up):
+            scene = [SceneObject("sphere", cam.eye + 0.1 * forward + 0.3 * side, 0.25)]
+            assert assert_matches_full_frame(scene, cam) > 0
+        # the eye inside a box's bounding sphere but outside the box
+        box = SceneObject("box", cam.eye + 0.12 * forward + 0.05 * right, 0.1)
+        assert assert_matches_full_frame([box], cam) > 0
+
+    def test_objects_behind_camera(self):
+        cam = CameraModel(width=64, height=48, yaw=-2.0, position=vec3(1.0, 0.5, 0.0))
+        forward, right, _ = cam.basis()
+        scene = [SceneObject("sphere", cam.eye - 2.0 * forward, 0.5),
+                 SceneObject("box", cam.eye - 0.3 * forward + 0.2 * right, 0.2),
+                 SceneObject("sphere", cam.eye - 0.25 * forward, 0.249)]
+        assert assert_matches_full_frame(scene, cam) == 0
+
+    def test_objects_partly_off_each_edge(self):
+        cam = CameraModel(width=64, height=48, yaw=0.9, position=vec3(0.0, 0.0, 2.0))
+        forward, right, up = cam.basis()
+        depth = 2.0
+        half_w = depth * math.tan(cam.horizontal_fov / 2.0)
+        half_h = half_w * cam.height / cam.width
+        for shape in ("sphere", "box"):
+            for offset in (half_w * right, -half_w * right, half_h * up, -half_h * up):
+                obj = SceneObject(shape, cam.eye + depth * forward + offset, 0.2)
+                count = assert_matches_full_frame([obj], cam)
+                assert 0 < count < cam.width * cam.height
+
+    def test_box_in_each_corner(self):
+        cam = CameraModel(width=64, height=48, yaw=0.3, position=vec3(0.2, -0.1, 2.0))
+        forward, right, up = cam.basis()
+        depth = 3.0
+        half_w = depth * math.tan(cam.horizontal_fov / 2.0)
+        half_h = half_w * cam.height / cam.width
+        for sx in (-1, 1):
+            for sy in (-1, 1):
+                center = cam.eye + depth * forward + 0.95 * (sx * half_w * right + sy * half_h * up)
+                assert assert_matches_full_frame([SceneObject("box", center, 0.15)], cam) > 0
+
+    @pytest.mark.parametrize("fov_deg", [20.0, 120.0, 170.0])
+    def test_non_default_fov(self, fov_deg):
+        cam = CameraModel(width=64, height=48, horizontal_fov=math.radians(fov_deg), yaw=0.2)
+        scene = envs.default_scenery("tracking") + [
+            SceneObject("sphere", vec3(1.5, 0.2, 0.3), 0.3),
+            SceneObject("sphere", vec3(0.5, 1.0, 0.25), 0.25)]
+        assert assert_matches_full_frame(scene, cam) > 0
+
+    def test_random_scenes_at_odd_size(self):
+        rng = np.random.default_rng(2024)
+        visible = 0
+        for _ in range(300):
+            cam = CameraModel(width=61, height=37, yaw=float(rng.uniform(-math.pi, math.pi)),
+                              position=vec3(*rng.uniform(-1.0, 1.0, 2), 0.0),
+                              horizontal_fov=float(rng.uniform(0.3, 2.8)))
+            scene = [SceneObject(str(rng.choice(["sphere", "box"])),
+                                 cam.eye + rng.uniform(-2.5, 2.5, 3),
+                                 float(rng.uniform(0.02, 0.8)),
+                                 intensity=float(rng.uniform(0.05, 1.0)))
+                     for _ in range(int(rng.integers(1, 5)))]
+            visible += assert_matches_full_frame(scene, cam) > 0
+        assert visible > 100
+
+    def test_background_cache_is_bounded(self):
+        cam = CameraModel(width=16, height=12)
+        for i in range(20):
+            render([], replace(cam, mount_height=0.1 + 0.01 * i))
+        for cached in (renderer._background, renderer._camera_grid):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
+        t_bg, _ = renderer._background(16, 12, cam.horizontal_fov, 0.15)
+        assert not t_bg.flags.writeable  # shared entries cannot be scribbled on

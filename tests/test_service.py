@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from evrl import service as service_mod
 from evrl.events import accumulate_events, events_array
 from evrl.qnet import NetworkConfig, forward, init_params
 from evrl.service import (ActionService, LateEventError, WindowBucketer,
@@ -123,6 +124,24 @@ class Client:
     def close(self):
         self.reader.close()
         self.sock.close()
+
+
+def replay(address, ev, count):
+    """The first `count` actions a fresh session sends back for a stream."""
+    c = Client(address)
+    try:
+        assert c.hello()["type"] == "ready"
+        c.send({"type": "events", "events": [
+            [int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])] for e in ev]})
+        c.send({"type": "flush"})
+        got = []
+        while len(got) < count:
+            msg = c.recv()
+            assert msg is not None and msg["type"] == "action"
+            got.append(msg["action"])
+        return got
+    finally:
+        c.close()
 
 
 @pytest.fixture
@@ -298,3 +317,56 @@ class TestActionService:
                 c.close()
             results.append(got)
         assert results[0] == results[1] == want
+
+    @pytest.mark.parametrize("bad", [
+        [0, -1, 0, 1],            # negative column
+        [0, NET.width, 0, 1],     # column past the hello width
+        [0, 0, NET.height, 1],    # row past the hello height
+        [-5, 0, 0, 1],            # negative timestamp
+        [0.9, 1, 1, True],        # float time, boolean polarity
+        [0, 1.0, 1, 1],           # integral float
+        [0, 1, 1, False],         # boolean that == 0
+        [0, 1, 1],                # too few fields
+    ])
+    def test_bad_event_fields_rejected_and_server_survives(self, service, rng, bad):
+        svc, params = service
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            # one write, so the flush is on its way before the server answers
+            c.send_raw((json.dumps({"type": "events", "events": [bad]}) + "\n"
+                        + json.dumps({"type": "flush"}) + "\n").encode())
+            err = c.recv()
+            assert err is not None and err["type"] == "error"
+            assert "malformed message" in err["message"]
+            assert c.recv() is None
+        finally:
+            c.close()
+        ev = random_stream(rng)
+        want = offline_actions(ev, DT, params)
+        assert replay(svc.address, ev, len(want)) == want
+
+    def test_failed_session_does_not_stop_the_listener(self, service, rng, monkeypatch):
+        svc, params = service
+        real = service_mod.accumulate_events
+        calls = []
+
+        def fail_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("injected fault")
+            return real(*args)
+
+        monkeypatch.setattr(service_mod, "accumulate_events", fail_once)
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": [[0, 1, 1, 1]]})
+            c.send({"type": "flush"})
+            assert c.recv() is None  # the session ended without a reply
+        finally:
+            c.close()
+        monkeypatch.setattr(service_mod, "accumulate_events", real)
+        ev = random_stream(rng)
+        want = offline_actions(ev, DT, params)
+        assert replay(svc.address, ev, len(want)) == want
