@@ -6,7 +6,7 @@ stack, binary event-stream and checkpoint formats, and a TCP service
 that turns live event streams into actions.
 """
 
-from .events import (EVENT_DTYPE, EmulatorConfig, Event, accumulate_events,
+from .events import (EVENT_DTYPE, EmulatorConfig, accumulate_events,
                      emulate_frame, events_array, inject_impulse_noise)
 from .renderer import CameraModel, SceneObject, project, render, vec3
 from .envs import (AvoidanceEnv, EnvConfig, StepResult, TrackingEnv,
@@ -23,7 +23,7 @@ from .service import ActionService, WindowBucketer, offline_actions
 __version__ = "0.1.0"
 
 __all__ = [
-    "EVENT_DTYPE", "EmulatorConfig", "Event", "accumulate_events",
+    "EVENT_DTYPE", "EmulatorConfig", "accumulate_events",
     "emulate_frame", "events_array", "inject_impulse_noise",
     "CameraModel", "SceneObject", "project", "render", "vec3",
     "AvoidanceEnv", "EnvConfig", "StepResult", "TrackingEnv",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qnet, trainer as trainer_mod
 from .envs import AvoidanceEnv, EnvConfig, TrackingEnv
-from .events import EmulatorConfig, accumulate_events, emulate_frame, events_array, \
+from .events import EVENT_DTYPE, EmulatorConfig, accumulate_events, emulate_frame, \
     inject_impulse_noise
 from .eventio import load_checkpoint, save_checkpoint, write_events, write_frame_pgm
 from .qnet import NetworkConfig
@@ -160,23 +160,21 @@ def record_episode(env, policy, rng: np.random.Generator, dt_us: int,
         frames.append(obs)
         done = result.done
     records: List[dict] = []
-    chunks: List[np.ndarray] = []
+    parts = []  # (t, x, y, p) arrays of each window with events
     for step, frame in enumerate(frames, start=1):
         start = (step - 1) * dt_us
         ys, xs = np.nonzero(frame)
         if len(ys):
             ts = np.sort(rng.integers(start, start + dt_us, size=len(ys)))
-            ev = events_array(list(zip(ts.tolist(), xs.tolist(), ys.tolist(),
-                                       frame[ys, xs].tolist())))
-            chunks.append(ev)
+            parts.append((ts, xs, ys, frame[ys, xs]))
         records.append({"step": step, "action": int(policy(frame)),
                         "events": int(len(ys))})
-    if chunks:
-        stream = np.concatenate(chunks)
-        first_window_start = (stream["t"][0] // dt_us) * dt_us
-        stream["t"][0] = first_window_start  # pin the anchor to the grid
-    else:
-        stream = events_array([])
+    # filled field by field: a structured concatenate leaves the pad bytes unset
+    stream = np.zeros(sum(len(part[0]) for part in parts), dtype=EVENT_DTYPE)
+    for name, cols in zip(EVENT_DTYPE.names, zip(*parts)):
+        stream[name] = np.concatenate(cols)
+    if len(stream):
+        stream["t"][0] = stream["t"][0] // dt_us * dt_us  # pin the anchor to the grid
     return stream, records
 
 

@@ -44,7 +44,7 @@ def write_events(path, events, width: int, height: int):
     arr = events_array(events)
     if not (0 < width <= 0xFFFF and 0 < height <= 0xFFFF):
         raise ValueError(f"width/height out of range: {width}x{height}")
-    if len(arr) > 1 and (np.diff(arr["t"].astype(np.int64)) < 0).any():
+    if (arr["t"][1:] < arr["t"][:-1]).any():
         raise ValueError("events must be sorted ascending by t")
     if len(arr) and ((arr["x"] >= width).any() or (arr["y"] >= height).any()):
         raise ValueError("event coordinates exceed the declared dimensions")
@@ -80,29 +80,26 @@ def read_events(path) -> Tuple[np.ndarray, int, int]:
         )
     events = np.frombuffer(data, dtype=EVENT_DTYPE, count=count,
                            offset=_EVT1_HEADER.size).copy()
-    for i in _first_bad_record(events, width, height):
+    i = _first_bad_record(events, width, height)
+    if i is not None:
         offset = _EVT1_HEADER.size + i * EVENT_DTYPE.itemsize
         raise FormatError(f"invalid record {i} at offset {offset}")
     return events, width, height
 
 
-def _first_bad_record(events: np.ndarray, width: int, height: int):
-    """Yield the index of the first invalid record, if any."""
-    if len(events) == 0:
-        return
+def _first_bad_record(events: np.ndarray, width: int, height: int) -> Optional[int]:
+    """The index of the first invalid record, or None."""
     bad = (events["x"] >= width) | (events["y"] >= height) | \
         ((events["p"] != 1) & (events["p"] != -1))
-    if len(events) > 1:
-        bad[1:] |= np.diff(events["t"].astype(np.int64)) < 0
+    bad[1:] |= events["t"][1:] < events["t"][:-1]
     idx = np.flatnonzero(bad)
-    if idx.size:
-        yield int(idx[0])
+    return int(idx[0]) if idx.size else None
 
 
 def write_events_csv(path, events):
     """Plain text, one event per line as "t,x,y,p", no header."""
     arr = events_array(events)
-    if len(arr) > 1 and (np.diff(arr["t"].astype(np.int64)) < 0).any():
+    if (arr["t"][1:] < arr["t"][:-1]).any():
         raise ValueError("events must be sorted ascending by t")
     with open(path, "w") as fh:
         for t, x, y, p in zip(arr["t"], arr["x"], arr["y"], arr["p"]):

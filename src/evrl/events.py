@@ -12,7 +12,6 @@ control window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +30,10 @@ EVENT_DTYPE = np.dtype(
     }
 )
 
-
-class Event(NamedTuple):
-    """One camera event: timestamp (microseconds), pixel, polarity (+-1)."""
-
-    t: int
-    x: int
-    y: int
-    p: int
+# The same fields with no padding: what np.concatenate of EVENT_DTYPE arrays
+# returns, and what events_array parses sequences into before repacking.
+_PACKED_DTYPE = np.dtype([(name, EVENT_DTYPE.fields[name][0])
+                          for name in EVENT_DTYPE.names])
 
 
 @dataclass(frozen=True)
@@ -58,15 +53,18 @@ class EmulatorConfig:
 def events_array(events) -> np.ndarray:
     """Normalize an event sequence to a structured array of EVENT_DTYPE.
 
-    Accepts an existing structured array (returned as-is), or any iterable
-    of (t, x, y, p) tuples / Event instances.
+    An EVENT_DTYPE array is returned as-is. Any other structured array with
+    t/x/y/p fields (a packed one, say) is converted field by field, and any
+    iterable of (t, x, y, p) rows is parsed with one np.array call. Built
+    arrays have zeroed pad bytes.
     """
     if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE:
         return events
-    events = list(events)
+    if not (isinstance(events, np.ndarray) and events.dtype.names):
+        events = np.array([tuple(e) for e in events], dtype=_PACKED_DTYPE)
     out = np.zeros(len(events), dtype=EVENT_DTYPE)
-    for i, (t, x, y, p) in enumerate(events):
-        out[i] = (t, x, y, p)
+    for name in EVENT_DTYPE.names:
+        out[name] = events[name]
     return out
 
 

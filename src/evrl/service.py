@@ -15,14 +15,19 @@ closes it (and any skipped empty windows); a flush closes the current
 window early. One action is emitted per closed window, computed by
 accumulating the window's events into a frame and taking the argmax of
 an eval-mode forward pass. Latency covers conversion plus inference on
-a monotonic clock.
+a monotonic clock. Replies are sent with TCP_NODELAY, so every action of
+a message that closes several windows leaves at once.
 
-Every event field must be a JSON integer (not a float or a boolean), with
-0 <= t < 2**64, 0 <= x < W, 0 <= y < H and p in {-1, 1}. A malformed
-line draws an error and closes the connection; events older than the
-current window draw an error but keep the session alive. A session that
-fails in any other way is closed, and the server goes on accepting
-connections.
+Each events message is parsed and checked as one array, and the same
+WindowBucketer.add that offline_actions runs cuts it into windows. Hello
+width, height and dt_us and every event field must be JSON integers (not
+floats or booleans), with 0 <= t < 2**64, 0 <= x < W, 0 <= y < H, p in
+{-1, 1} and t non-decreasing within a message. A malformed line draws an
+error and closes the connection. A message is sorted, so its events older
+than the open window form its head: they are all dropped with one error
+reply, the rest of the message is served, and the session stays up. A
+session that fails in any other way is closed, and the server goes on
+accepting connections.
 """
 
 from __future__ import annotations
@@ -32,76 +37,111 @@ import socket
 import threading
 import time
 import traceback
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import qnet
-from .events import accumulate_events, events_array
+from .events import EVENT_DTYPE, accumulate_events, events_array
 from .qnet import QNetworkParams
 
 
 # Timestamps are stored as uint64 microseconds (EVENT_DTYPE).
 _T_LIMIT = 2 ** 64
+_NO_EVENTS = np.zeros(0, dtype=EVENT_DTYPE)
+_NO_EVENTS.flags.writeable = False
+
+Window = Tuple[int, np.ndarray]  # (step, that window's events)
 
 
 class LateEventError(ValueError):
-    """Event timestamp precedes the currently open window."""
+    """Events at the head of a batch precede the currently open window.
+
+    They were dropped; ``closed`` holds the windows that the rest of the
+    batch closed, which the caller still has to serve.
+    """
+
+    def __init__(self, message: str, closed: List[Window]):
+        super().__init__(message)
+        self.closed = closed
 
 
 class WindowBucketer:
-    """Assigns a non-decreasing event stream to fixed-width windows."""
+    """Cuts a non-decreasing event stream into fixed-width windows."""
 
     def __init__(self, dt_us: int):
-        if dt_us < 1:
-            raise ValueError(f"dt_us must be >= 1, got {dt_us}")
+        if not 1 <= dt_us < _T_LIMIT:
+            raise ValueError(f"dt_us must be in [1, 2**64), got {dt_us}")
         self.dt = int(dt_us)
         self.t0: Optional[int] = None
         self.step = 1
-        self.pending: List[Tuple[int, int, int, int]] = []
+        self.pending: List[np.ndarray] = []  # chunks of the open window
+
+    def bounds(self, step: int) -> Tuple[int, int]:
+        """[start, end) of window `step`, as Python ints (they may pass 2**64)."""
+        start = self.t0 + (step - 1) * self.dt
+        return start, start + self.dt
 
     @property
     def window_start(self) -> Optional[int]:
-        return None if self.t0 is None else self.t0 + (self.step - 1) * self.dt
+        return None if self.t0 is None else self.bounds(self.step)[0]
 
     @property
     def window_end(self) -> Optional[int]:
-        return None if self.t0 is None else self.t0 + self.step * self.dt
+        return None if self.t0 is None else self.bounds(self.step)[1]
 
-    def add(self, t: int, x: int, y: int, p: int):
-        """Returns the list of (step, events) windows this event closed."""
-        t = int(t)
+    def add(self, events: np.ndarray) -> List[Window]:
+        """Add one EVENT_DTYPE batch sorted by t; returns the windows it closed.
+
+        A late head of the batch (events before the open window) is dropped
+        and reported by LateEventError, which carries the closed windows.
+        """
+        t = events["t"]
+        if (t[1:] < t[:-1]).any():
+            raise ValueError("events must be sorted by t")
+        if len(t) == 0:
+            return []
         if self.t0 is None:
-            self.t0 = t
-        if t < self.window_start:
-            raise LateEventError(
-                f"event at t={t} precedes open window starting at {self.window_start}"
-            )
-        closed = []
-        while t >= self.window_end:
-            closed.append((self.step, self.pending))
-            self.pending = []
-            self.step += 1
-        self.pending.append((t, int(x), int(y), int(p)))
+            self.t0 = int(t[0])
+        start = self.window_start
+        late = len(t) if start >= _T_LIMIT else int(np.searchsorted(t, np.uint64(start)))
+        rest = events[late:]
+        closed: List[Window] = []
+        if len(rest):
+            # window indices from uint64 offsets: t0 + k*dt could wrap past 2**64
+            win = (rest["t"] - np.uint64(self.t0)) // np.uint64(self.dt)
+            cuts = [0, *(np.flatnonzero(win[1:] != win[:-1]) + 1).tolist(), len(rest)]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                while self.step <= win[lo]:  # win is 0-based: close the open window
+                    closed.append(self.flush())
+                self.pending.append(rest[lo:hi])
+        if late:
+            raise LateEventError(f"{late} event(s) from t={int(t[0])} precede the open "
+                                 f"window starting at {start}; dropped", closed)
         return closed
 
-    def flush(self):
+    def flush(self) -> Optional[Window]:
         """Close the current window now; None if no event ever arrived."""
         if self.t0 is None:
             return None
-        out = (self.step, self.pending)
+        chunks = self.pending
+        if len(chunks) == 1:
+            window = chunks[0]
+        else:
+            window = np.concatenate(chunks, dtype=EVENT_DTYPE) if chunks else _NO_EVENTS
+        out = (self.step, window)
         self.pending = []
         self.step += 1
         return out
 
 
-def infer_action(params: QNetworkParams, events: Sequence, t_start: int,
+def infer_action(params: QNetworkParams, events: np.ndarray, t_start: int,
                  t_end: int) -> Tuple[int, int]:
     """(action, latency_us) for one window's events."""
     cfg = params.cfg
     begin = time.perf_counter_ns()
-    frame = accumulate_events(events_array(list(events)), t_start, t_end,
-                              cfg.width, cfg.height)
+    frame = accumulate_events(events, t_start, t_end, cfg.width, cfg.height)
     q = qnet.forward(params, frame, mode="eval")
     action = int(np.argmax(q[0]))
     latency_us = (time.perf_counter_ns() - begin) // 1000
@@ -111,27 +151,50 @@ def infer_action(params: QNetworkParams, events: Sequence, t_start: int,
 def offline_actions(events, dt_us: int, params: QNetworkParams) -> List[int]:
     """Reference pipeline: the action sequence a service replay must match.
 
-    Windows start at the first event's timestamp; the trailing partial
-    window is included (it is what a final flush would close).
+    The whole stream, sorted by t, goes through the service's own
+    WindowBucketer.add, and then a flush closes the trailing partial window.
     """
-    arr = events_array(events)
-    if len(arr) == 0:
-        return []
     bucketer = WindowBucketer(dt_us)
-    actions: List[int] = []
-
-    def emit(step, window_events):
-        start = bucketer.t0 + (step - 1) * bucketer.dt
-        action, _ = infer_action(params, window_events, start, start + bucketer.dt)
-        actions.append(action)
-
-    for t, x, y, p in zip(arr["t"], arr["x"], arr["y"], arr["p"]):
-        for step, window_events in bucketer.add(int(t), int(x), int(y), int(p)):
-            emit(step, window_events)
+    windows = bucketer.add(events_array(events))
     final = bucketer.flush()
     if final is not None:
-        emit(*final)
-    return actions
+        windows.append(final)
+    return [infer_action(params, window, *bucketer.bounds(step))[0]
+            for step, window in windows]
+
+
+def _parse_events(events, width: int, height: int) -> np.ndarray:
+    """One JSON events list as an EVENT_DTYPE array, checked as a whole.
+
+    Each event is [t, x, y, p] of JSON integers (not floats or booleans)
+    with 0 <= t < 2**64, 0 <= x < width, 0 <= y < height and p in {-1, 1}.
+    A ValueError names the first item that breaks a rule.
+    """
+    if type(events) is not list:
+        raise ValueError("events must be a list")
+    if not events:
+        return _NO_EVENTS
+    if set(map(type, events)) != {list} or set(map(len, events)) != {4}:
+        item = next(e for e in events if type(e) is not list or len(e) != 4)
+        raise ValueError(f"event must be [t, x, y, p], got {item!r}")
+    fields = list(chain.from_iterable(events))
+    if set(map(type, fields)) != {int}:
+        item = next(e for e in events if set(map(type, e)) != {int})
+        raise ValueError(f"event fields must be integers, got {item!r}")
+    try:
+        t, x, y, p = np.array(fields, dtype=np.int64).reshape(-1, 4).T
+    except OverflowError:  # t >= 2**63 or a field past 64 bits: the masks name it
+        t, x, y, p = np.array(fields, dtype=object).reshape(-1, 4).T
+    bad = (t < 0) | (t >= _T_LIMIT) | (x < 0) | (x >= width) | (y < 0) | (y >= height)
+    if bad.any():
+        raise ValueError(f"event {events[int(np.argmax(bad))]!r} outside t >= 0 "
+                         f"and the {width}x{height} sensor")
+    bad = (p != 1) & (p != -1)
+    if bad.any():
+        raise ValueError(f"polarity must be -1 or 1, got {events[int(np.argmax(bad))][3]}")
+    out = np.zeros(len(events), dtype=EVENT_DTYPE)
+    out["t"], out["x"], out["y"], out["p"] = t, x, y, p
+    return out
 
 
 class ActionService:
@@ -171,6 +234,9 @@ class ActionService:
                 except OSError:
                     break  # listener closed by shutdown()
                 try:
+                    # replies go out at once: a message that closes several
+                    # windows must not hold the later ones for a delayed ACK
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     self._handle_session(conn)
                 except Exception:  # one broken session must not stop the listener
                     traceback.print_exc()
@@ -202,8 +268,10 @@ class ActionService:
                     raise ValueError("message is not an object")
                 mtype = msg.get("type")
                 if mtype == "hello":
-                    width, height = int(msg["width"]), int(msg["height"])
-                    dt_us = int(msg.get("dt_us", self.default_dt_us))
+                    width, height = msg["width"], msg["height"]
+                    dt_us = msg.get("dt_us", self.default_dt_us)
+                    if {type(width), type(height), type(dt_us)} != {int}:
+                        raise ValueError("hello width, height and dt_us must be integers")
                     if (width, height) != (cfg.width, cfg.height):
                         raise ValueError(
                             f"stream is {width}x{height}, checkpoint expects "
@@ -231,42 +299,21 @@ class ActionService:
         reader.close()
 
     def _ingest(self, bucketer: WindowBucketer, events, send):
-        if not isinstance(events, list):
-            raise ValueError("events must be a list")
         # hello has checked that the stream's resolution is the checkpoint's
-        width, height = self.params.cfg.width, self.params.cfg.height
-        prev_t = None
-        parsed = []
-        for item in events:
-            if type(item) is not list or len(item) != 4:
-                raise ValueError(f"event must be [t, x, y, p], got {item!r}")
-            t, x, y, p = item
-            if not (type(t) is int and type(x) is int and type(y) is int
-                    and type(p) is int):
-                raise ValueError(f"event fields must be integers, got {item!r}")
-            if not (0 <= x < width and 0 <= y < height and 0 <= t < _T_LIMIT):
-                raise ValueError(f"event {item!r} outside t >= 0 and the "
-                                 f"{width}x{height} sensor")
-            if prev_t is not None and t < prev_t:
-                raise ValueError("events within a message must be sorted by t")
-            if p not in (-1, 1):
-                raise ValueError(f"polarity must be -1 or 1, got {p}")
-            prev_t = t
-            parsed.append((t, x, y, p))
+        cfg = self.params.cfg
         late: Optional[LateEventError] = None
-        for t, x, y, p in parsed:
-            try:
-                for step, window_events in bucketer.add(t, x, y, p):
-                    self._emit(bucketer, step, window_events, send)
-            except LateEventError as exc:
-                late = exc  # drop the event, keep the rest of the batch
+        try:
+            closed = bucketer.add(_parse_events(events, cfg.width, cfg.height))
+        except LateEventError as exc:
+            late, closed = exc, exc.closed  # the late head is dropped
+        for step, window in closed:
+            self._emit(bucketer, step, window, send)
         if late is not None:
             raise late
 
     def _emit(self, bucketer: WindowBucketer, step: int, window_events, send):
-        start = bucketer.t0 + (step - 1) * bucketer.dt
         action, latency_us = infer_action(self.params, window_events,
-                                          start, start + bucketer.dt)
+                                          *bucketer.bounds(step))
         if self.log is not None:
             self.log({"step": step, "action": action, "latency_us": latency_us,
                       "events": len(window_events)})

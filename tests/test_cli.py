@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from evrl.cli import main
+from evrl.cli import main, record_episode
+from evrl.envs import AvoidanceEnv, EnvConfig
 from evrl.eventio import load_checkpoint, read_events
+from evrl.events import EVENT_DTYPE
+from evrl.renderer import CameraModel
 
 SMALL = ["--width", "32", "--height", "24"]
 
@@ -148,6 +151,41 @@ class TestRecord:
         events, _, _ = read_events(tmp_path / "pin.ep0.evt1")
         if len(events):
             assert int(events["t"][0]) % 10_000 == 0
+
+    def test_stream_matches_row_by_row_build(self):
+        """The recorded stream is EVENT_DTYPE and byte for byte what filling
+        one event row at a time from the same rollout gives."""
+        dt_us = 10_000
+
+        def env():
+            return AvoidanceEnv(EnvConfig(sensor=CameraModel(width=32, height=24),
+                                          max_steps=15, seed=4))
+
+        stream, _ = record_episode(env(), lambda obs: 1, np.random.default_rng(5),
+                                   dt_us, seed=3)
+        assert stream.dtype == EVENT_DTYPE
+
+        e = env()
+        e.reset(seed=3)
+        frames, done = [], False
+        while not done:
+            result = e.step(1)
+            frames.append(result.observation)
+            done = result.done
+        stamp = np.random.default_rng(5)
+        rows = []
+        for step, frame in enumerate(frames, start=1):
+            ys, xs = np.nonzero(frame)
+            if len(ys):
+                start = (step - 1) * dt_us
+                ts = np.sort(stamp.integers(start, start + dt_us, size=len(ys)))
+                rows += zip(ts.tolist(), xs.tolist(), ys.tolist(), frame[ys, xs].tolist())
+        want = np.zeros(len(rows), dtype=EVENT_DTYPE)
+        for i, row in enumerate(rows):
+            want[i] = row
+        assert len(want) > 0
+        want["t"][0] = want["t"][0] // dt_us * dt_us
+        assert stream.tobytes() == want.tobytes()
 
     def test_checkpoint_resolution_guard(self, tmp_path, capsys):
         argv, out, _ = train_args(tmp_path, "r", extra=["--episodes", "0"])

@@ -82,6 +82,27 @@ class TestEvt1:
         with pytest.raises(ValueError):
             write_events(tmp_path / "x.evt1", ev, 32, 24)
 
+    def test_packed_input_writes_the_same_bytes(self, rng, tmp_path):
+        ev = random_stream(rng, 300, 32, 24)
+        packed = np.concatenate([ev[:100], ev[100:]])
+        packed = packed.astype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+        write_events(tmp_path / "a.evt1", ev, 32, 24)
+        write_events(tmp_path / "b.evt1", packed, 32, 24)
+        data = (tmp_path / "b.evt1").read_bytes()
+        assert data == (tmp_path / "a.evt1").read_bytes()
+        header = struct.pack("<4sHHHQ", b"EVT1", 1, 32, 24, 300)
+        assert data == header + ev.tobytes()
+
+    def test_timestamps_past_2_63_stay_sorted(self, tmp_path):
+        ev = np.zeros(3, dtype=EVENT_DTYPE)
+        ev["t"] = [0, 2 ** 63, 2 ** 64 - 1]  # steps of 2**63 and more
+        ev["p"] = 1
+        write_events(tmp_path / "x.evt1", ev, 32, 24)
+        back, _, _ = read_events(tmp_path / "x.evt1")
+        assert back.tobytes() == ev.tobytes()
+        write_events_csv(tmp_path / "x.csv", ev)
+        assert np.array_equal(read_events_csv(tmp_path / "x.csv")["t"], ev["t"])
+
     def test_out_of_range_coordinate_rejected(self, tmp_path):
         ev = np.zeros(1, dtype=EVENT_DTYPE)
         ev["x"] = 32

@@ -167,6 +167,35 @@ class TestEventsArray:
         assert arr["t"][0] == 1 and arr["x"][0] == 2
         assert arr["y"][0] == 3 and arr["p"][0] == -1
 
+    def test_packed_structured_input_converted_field_by_field(self):
+        rng = np.random.default_rng(11)
+        ev = np.zeros(50, dtype=EVENT_DTYPE)
+        ev["t"] = np.sort(rng.integers(0, 2 ** 63, 50).astype(np.uint64)) * np.uint64(2)
+        ev["x"], ev["y"] = rng.integers(0, 2 ** 16, (2, 50))
+        ev["p"] = rng.choice(np.array([-1, 1], dtype=np.int8), 50)
+        # what np.concatenate of EVENT_DTYPE arrays gives on numpy 2.x
+        packed = ev.astype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+        assert packed.dtype.itemsize == 13
+        out = events_array(packed)
+        assert out.dtype == EVENT_DTYPE
+        for name in ("t", "x", "y", "p"):
+            assert np.array_equal(out[name], ev[name])
+        assert out.tobytes() == ev.tobytes()  # pad bytes are zero
+
+    def test_sequence_matches_row_by_row_fill(self):
+        seq = [(0, 1, 2, 1), (5, 0, 0, -1), (2 ** 64 - 1, 65535, 65535, -1)]
+        want = np.zeros(len(seq), dtype=EVENT_DTYPE)
+        for i, row in enumerate(seq):
+            want[i] = row
+        for given in (seq, [list(r) for r in seq], iter(seq)):
+            out = events_array(given)
+            assert out.dtype == EVENT_DTYPE and out.tobytes() == want.tobytes()
+        assert events_array([]).dtype == EVENT_DTYPE and len(events_array([])) == 0
+
+    def test_event_dtype_array_returned_as_is(self):
+        ev = np.zeros(3, dtype=EVENT_DTYPE)
+        assert events_array(ev) is ev
+
     def test_emulator_config_validation(self):
         with pytest.raises(ValueError):
             EmulatorConfig(threshold=0.0)

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,57 +18,131 @@ NET = NetworkConfig(height=24, width=32, action_count=2)
 DT = 10_000  # us
 
 
+def one(t, x, y, p):
+    """A one-event batch."""
+    return events_array([(t, x, y, p)])
+
+
+def rows(events):
+    """A window's events as plain (t, x, y, p) tuples."""
+    return [tuple(int(v) for v in e) for e in events]
+
+
+def pending_rows(b):
+    return [r for chunk in b.pending for r in rows(chunk)]
+
+
 class TestWindowBucketer:
     def test_first_event_anchors_t0(self):
         b = WindowBucketer(DT)
         assert b.window_start is None
-        closed = b.add(500, 1, 2, 1)
+        closed = b.add(one(500, 1, 2, 1))
         assert closed == []
         assert b.t0 == 500
         assert (b.window_start, b.window_end) == (500, 10_500)
 
     def test_event_at_window_end_closes_it(self):
         b = WindowBucketer(DT)
-        b.add(500, 1, 2, 1)
-        closed = b.add(10_500, 3, 4, -1)
-        assert closed == [(1, [(500, 1, 2, 1)])]
-        assert b.pending == [(10_500, 3, 4, -1)]
+        b.add(one(500, 1, 2, 1))
+        closed = b.add(one(10_500, 3, 4, -1))
+        assert [(step, rows(ev)) for step, ev in closed] == [(1, [(500, 1, 2, 1)])]
+        assert pending_rows(b) == [(10_500, 3, 4, -1)]
         assert b.step == 2
 
     def test_event_inside_window_stays_pending(self):
         b = WindowBucketer(DT)
-        b.add(500, 1, 2, 1)
-        assert b.add(10_499, 3, 4, 1) == []
-        assert len(b.pending) == 2
+        b.add(one(500, 1, 2, 1))
+        assert b.add(one(10_499, 3, 4, 1)) == []
+        assert len(pending_rows(b)) == 2
 
     def test_gap_emits_empty_windows(self):
         b = WindowBucketer(DT)
-        b.add(0, 1, 1, 1)
-        closed = b.add(35_000, 2, 2, -1)
+        b.add(one(0, 1, 1, 1))
+        closed = b.add(one(35_000, 2, 2, -1))
         assert [step for step, _ in closed] == [1, 2, 3]
-        assert closed[1][1] == [] and closed[2][1] == []
+        assert rows(closed[1][1]) == [] and rows(closed[2][1]) == []
 
     def test_late_event_raises_and_preserves_state(self):
         b = WindowBucketer(DT)
-        b.add(500, 1, 2, 1)
-        b.add(10_500, 3, 4, 1)
-        with pytest.raises(LateEventError):
-            b.add(9_000, 0, 0, 1)
+        b.add(one(500, 1, 2, 1))
+        b.add(one(10_500, 3, 4, 1))
+        with pytest.raises(LateEventError) as exc:
+            b.add(one(9_000, 0, 0, 1))
+        assert exc.value.closed == []
         assert b.step == 2
-        assert b.pending == [(10_500, 3, 4, 1)]
+        assert pending_rows(b) == [(10_500, 3, 4, 1)]
 
     def test_flush_semantics(self):
         b = WindowBucketer(DT)
         assert b.flush() is None  # nothing ever arrived
-        b.add(500, 1, 2, 1)
+        b.add(one(500, 1, 2, 1))
         step, events = b.flush()
-        assert step == 1 and events == [(500, 1, 2, 1)]
+        assert step == 1 and rows(events) == [(500, 1, 2, 1)]
         step, events = b.flush()
-        assert step == 2 and events == []  # an empty open window still closes
+        assert step == 2 and rows(events) == []  # an empty open window still closes
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             WindowBucketer(0)
+        with pytest.raises(ValueError):
+            WindowBucketer(2 ** 64)  # window indices are computed in uint64
+
+    def test_late_head_dropped_and_rest_served(self):
+        b = WindowBucketer(DT)
+        b.add(one(500, 1, 2, 1))
+        b.add(one(10_500, 3, 4, 1))
+        batch = events_array([(100, 0, 0, 1), (9_000, 0, 0, -1), (10_600, 5, 5, 1),
+                              (20_500, 6, 6, -1)])
+        with pytest.raises(LateEventError, match="2 event") as exc:
+            b.add(batch)
+        # the two late events are gone; the rest closed window 2
+        assert [(s, rows(ev)) for s, ev in exc.value.closed] == [
+            (2, [(10_500, 3, 4, 1), (10_600, 5, 5, 1)])]
+        step, events = b.flush()
+        assert step == 3 and rows(events) == [(20_500, 6, 6, -1)]
+
+    def test_late_error_carries_closed_windows(self):
+        b = WindowBucketer(DT)
+        b.add(one(500, 1, 2, 1))
+        b.add(one(10_500, 3, 4, 1))
+        with pytest.raises(LateEventError) as exc:
+            b.add(events_array([(9_000, 0, 0, 1), (40_500, 5, 5, 1)]))
+        assert [step for step, _ in exc.value.closed] == [2, 3, 4]
+        assert rows(exc.value.closed[0][1]) == [(10_500, 3, 4, 1)]
+        assert pending_rows(b) == [(40_500, 5, 5, 1)]
+
+    def test_unsorted_batch_is_not_a_late_error(self):
+        b = WindowBucketer(DT)
+        with pytest.raises(ValueError, match="sorted") as exc:
+            b.add(events_array([(900, 1, 1, 1), (100, 2, 2, 1)]))
+        assert not isinstance(exc.value, LateEventError)
+        assert b.t0 is None
+
+    def test_batch_cut_matches_per_event_windows(self):
+        b = WindowBucketer(DT)
+        batch = events_array([(0, 0, 0, 1), (0, 1, 0, 1), (9_999, 2, 0, 1),
+                              (10_000, 3, 0, 1), (30_000, 4, 0, -1), (39_999, 5, 0, 1)])
+        closed = b.add(batch)
+        assert [(s, rows(ev)) for s, ev in closed] == [
+            (1, [(0, 0, 0, 1), (0, 1, 0, 1), (9_999, 2, 0, 1)]),
+            (2, [(10_000, 3, 0, 1)]),
+            (3, []),
+        ]
+        assert pending_rows(b) == [(30_000, 4, 0, -1), (39_999, 5, 0, 1)]
+        assert b.step == 4
+
+    def test_windows_near_the_top_of_uint64(self):
+        top = 2 ** 64 - 1
+        b = WindowBucketer(DT)
+        closed = b.add(events_array([(top - 24_999, 1, 1, 1), (top, 2, 2, -1)]))
+        assert [step for step, _ in closed] == [1, 2]
+        assert pending_rows(b) == [(top, 2, 2, -1)]
+        step, events = b.flush()
+        assert step == 3 and rows(events) == [(top, 2, 2, -1)]
+        assert b.window_start > top  # bounds are Python ints: no wrap
+        with pytest.raises(LateEventError):
+            b.add(one(top, 0, 0, 1))
+        assert b.step == 4 and b.pending == []
 
 
 class TestInference:
@@ -327,6 +402,9 @@ class TestActionService:
         [0, 1.0, 1, 1],           # integral float
         [0, 1, 1, False],         # boolean that == 0
         [0, 1, 1],                # too few fields
+        [2 ** 64, 0, 0, 1],       # timestamp past uint64
+        [0, 2 ** 70, 0, 1],       # column past every integer type
+        [0, 1, 1, 2 ** 70],       # polarity past every integer type
     ])
     def test_bad_event_fields_rejected_and_server_survives(self, service, rng, bad):
         svc, params = service
@@ -370,3 +448,179 @@ class TestActionService:
         ev = random_stream(rng)
         want = offline_actions(ev, DT, params)
         assert replay(svc.address, ev, len(want)) == want
+
+
+class ReferenceBucketer:
+    """The per-event window loop that WindowBucketer.add replaced."""
+
+    def __init__(self, dt_us):
+        self.dt, self.t0, self.step, self.pending = dt_us, None, 1, []
+
+    @property
+    def window_start(self):
+        return self.t0 + (self.step - 1) * self.dt
+
+    def add(self, t, x, y, p):
+        if self.t0 is None:
+            self.t0 = t
+        if t < self.window_start:
+            raise LateEventError("late", [])
+        closed = []
+        while t >= self.window_start + self.dt:
+            closed.append((self.step, self.pending))
+            self.pending, self.step = [], self.step + 1
+        self.pending.append((t, x, y, p))
+        return closed
+
+    def flush(self):
+        out = (self.step, self.pending)
+        self.pending, self.step = [], self.step + 1
+        return out
+
+
+def reference_action(params, bucketer, step, events):
+    start = bucketer.t0 + (step - 1) * bucketer.dt
+    frame = accumulate_events(events_array(events), start, start + bucketer.dt,
+                              NET.width, NET.height)
+    return int(np.argmax(forward(params, frame, mode="eval")[0]))
+
+
+def edge_stream(rng, windows=24):
+    """Sorted rows anchored at t0: duplicate timestamps, events on window
+    edges (offset 0 and dt - 1), and runs of empty windows."""
+    t0 = int(rng.integers(0, 3 * DT))
+    counts = rng.integers(1, 9, windows)
+    counts[1:][rng.random(windows - 1) < 0.3] = 0  # gaps
+    offsets = np.array([0, 0, 1, DT // 2, DT - 1, DT - 1])
+    t = np.concatenate([k * DT + rng.choice(offsets, n) for k, n in enumerate(counts)])
+    t = np.sort(t) + t0
+    t[0] = t0
+    n = len(t)
+    return [[int(t[i]), int(rng.integers(0, NET.width)), int(rng.integers(0, NET.height)),
+             int(rng.choice([-1, 1]))] for i in range(n)]
+
+
+class TestSharedPath:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_served_equals_offline_equals_per_event_reference(self, service, seed):
+        svc, params = service
+        rng = np.random.default_rng(1000 + seed)
+        stream = edge_stream(rng)
+        want = offline_actions(events_array([tuple(r) for r in stream]), DT, params)
+
+        # messages cut at random points; some get a late head
+        ref = ReferenceBucketer(DT)
+        ref_actions, messages, late_heads = [], [], 0
+        cuts = np.sort(rng.choice(np.arange(1, len(stream)), size=8, replace=False))
+        for part in np.split(np.arange(len(stream)), cuts):
+            body = [stream[i] for i in part]
+            if ref.t0 is not None and ref.window_start > 0 and rng.random() < 0.5:
+                late = np.sort(rng.integers(0, ref.window_start, int(rng.integers(1, 4))))
+                body = [[int(t), 0, 0, 1] for t in late] + body
+                late_heads += 1
+            messages.append(body)
+            for t, x, y, p in body:
+                try:
+                    for step, events in ref.add(t, x, y, p):
+                        ref_actions.append(reference_action(params, ref, step, events))
+                except LateEventError:
+                    pass
+        ref_actions.append(reference_action(params, ref, *ref.flush()))
+        assert ref_actions == want
+
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            for body in messages:
+                c.send({"type": "events", "events": body})
+            c.send({"type": "flush"})
+            got, errors = [], 0
+            while len(got) < len(want):
+                msg = c.recv()
+                if msg["type"] == "error":
+                    assert "precede the open window" in msg["message"]
+                    errors += 1
+                    continue
+                assert msg["type"] == "action" and msg["step"] == len(got) + 1
+                got.append(msg["action"])
+        finally:
+            c.close()
+        assert got == want
+        assert errors == late_heads  # one error per message with a late head
+
+
+class TestServiceInput:
+    @pytest.mark.parametrize("hello", [
+        {"width": 32.9, "height": 24.2, "dt_us": 10000.7},
+        {"width": NET.width, "height": NET.height, "dt_us": 10000.0},
+        {"width": NET.width, "height": NET.height, "dt_us": True},
+        {"width": 32.0, "height": NET.height, "dt_us": DT},
+        {"width": NET.width, "height": NET.height, "dt_us": 2 ** 70},
+        {"width": NET.width, "height": NET.height, "dt_us": 0},
+    ])
+    def test_bad_hello_rejected(self, service, hello):
+        svc, _ = service
+        c = Client(svc.address)
+        try:
+            c.send({"type": "hello", **hello})
+            reply = c.recv()
+            assert reply["type"] == "error" and "malformed message" in reply["message"]
+            assert c.recv() is None
+        finally:
+            c.close()
+
+    def test_last_representable_timestamp_accepted(self, service):
+        svc, params = service
+        top = 2 ** 64 - 1
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": [[top - 1, 1, 1, -1], [top, 2, 3, 1]]})
+            c.send({"type": "flush"})
+            msg = c.recv()
+            assert msg["type"] == "action" and msg["step"] == 1
+        finally:
+            c.close()
+        want = offline_actions(events_array([(top - 1, 1, 1, -1), (top, 2, 3, 1)]), DT, params)
+        assert [msg["action"]] == want
+
+    def test_late_head_draws_one_error_after_the_actions(self, service):
+        svc, params = service
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": [[500, 1, 2, 1], [10_600, 2, 2, 1]]})
+            assert c.recv()["step"] == 1
+            c.send({"type": "events", "events": [[100, 0, 0, 1], [600, 0, 0, 1],
+                                                 [9_000, 0, 0, 1], [20_500, 3, 3, -1]]})
+            msg = c.recv()
+            assert msg["type"] == "action" and msg["step"] == 2
+            err = c.recv()
+            assert err["type"] == "error" and err["message"].startswith("3 event(s)")
+            c.send({"type": "flush"})
+            last = c.recv()
+            assert last["type"] == "action" and last["step"] == 3
+        finally:
+            c.close()
+        want = offline_actions(events_array([(500, 1, 2, 1), (10_600, 2, 2, 1),
+                                             (20_500, 3, 3, -1)]), DT, params)
+        assert [msg["action"], last["action"]] == want[1:]
+
+    def test_replies_to_one_message_are_not_held_back(self, service):
+        """A message that closes six windows gets all six actions at once,
+        not the later five behind the client's delayed ACK."""
+        svc, _ = service
+        c = Client(svc.address)
+        took = []
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": [[0, 1, 1, 1]]})
+            for k in range(1, 6):
+                begin = time.perf_counter()
+                c.send({"type": "events", "events": [[6 * k * DT, 1, 1, 1]]})
+                steps = [c.recv()["step"] for _ in range(6)]
+                took.append(time.perf_counter() - begin)
+                assert steps == list(range(6 * k - 5, 6 * k + 1))
+        finally:
+            c.close()
+        assert sorted(took)[2] < 0.020, took
