@@ -20,11 +20,10 @@ import numpy as np
 
 from . import qnet, trainer as trainer_mod
 from .envs import AvoidanceEnv, EnvConfig, TrackingEnv
-from .events import EVENT_DTYPE, EmulatorConfig, accumulate_events, emulate_frame, \
-    inject_impulse_noise
+from .events import EVENT_DTYPE, EmulatorConfig
 from .eventio import load_checkpoint, save_checkpoint, write_events, write_frame_pgm
 from .qnet import NetworkConfig
-from .renderer import CameraModel, render
+from .renderer import CameraModel
 from .service import serve as service_serve
 from .trainer import TrainerConfig, summarize
 
@@ -148,26 +147,25 @@ def record_episode(env, policy, rng: np.random.Generator, dt_us: int,
     uniform timestamp inside the window. The stream's first event is
     pinned to its window's start so a replay anchors on the same grid.
     The logged action for window n is the policy's response to that
-    observation, which is exactly what a replay through the service
-    should emit.
+    observation: the action the rollout took at step n+1, and for the
+    last window one more policy call. That is exactly what a replay
+    through the service should emit.
     """
-    obs = env.reset(seed=seed)
     frames: List[np.ndarray] = []
-    done = False
-    while not done:
-        result = env.step(policy(obs))
-        obs = result.observation
-        frames.append(obs)
-        done = result.done
+    actions: List[int] = []
+    for _, action, result in trainer_mod.rollout(env, policy, seed):
+        actions.append(action)
+        frames.append(result.observation)
+    actions = actions[1:] + [policy(frames[-1])]
     records: List[dict] = []
     parts = []  # (t, x, y, p) arrays of each window with events
-    for step, frame in enumerate(frames, start=1):
+    for step, (frame, action) in enumerate(zip(frames, actions), start=1):
         start = (step - 1) * dt_us
         ys, xs = np.nonzero(frame)
         if len(ys):
             ts = np.sort(rng.integers(start, start + dt_us, size=len(ys)))
             parts.append((ts, xs, ys, frame[ys, xs]))
-        records.append({"step": step, "action": int(policy(frame)),
+        records.append({"step": step, "action": int(action),
                         "events": int(len(ys))})
     # filled field by field: a structured concatenate leaves the pad bytes unset
     stream = np.zeros(sum(len(part[0]) for part in parts), dtype=EVENT_DTYPE)
@@ -178,17 +176,21 @@ def record_episode(env, policy, rng: np.random.Generator, dt_us: int,
     return stream, records
 
 
-def cmd_record(args) -> int:
-    env = build_env(args)
-    dt_us = int(round(args.dt * 1e6))
+def _policy(args, env):
+    """Greedy on --checkpoint, else uniform random from a child of --seed."""
     if args.checkpoint:
         params, _ = load_checkpoint(args.checkpoint)
         if (params.cfg.width, params.cfg.height) != (args.width, args.height):
             raise SystemExit2("checkpoint resolution does not match --width/--height")
-        policy = lambda obs: trainer_mod.greedy_action(params, obs)
-    else:
-        prng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
-        policy = lambda obs: int(prng.integers(0, env.action_count))
+        return lambda obs: trainer_mod.greedy_action(params, obs)
+    prng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
+    return lambda obs: int(prng.integers(0, env.action_count))
+
+
+def cmd_record(args) -> int:
+    env = build_env(args)
+    policy = _policy(args, env)
+    dt_us = int(round(args.dt * 1e6))
     seed_rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     stem = Path(args.out)
     for ep in range(args.episodes):
@@ -217,24 +219,13 @@ def _add_render_demo(sub):
 
 def cmd_render_demo(args) -> int:
     env = build_env(args)
+    policy = _policy(args, env)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.checkpoint:
-        params, _ = load_checkpoint(args.checkpoint)
-        policy = lambda obs: trainer_mod.greedy_action(params, obs)
-    else:
-        prng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
-        policy = lambda obs: int(prng.integers(0, env.action_count))
-    obs = env.reset(seed=args.seed)
-    step = 0
-    done = False
-    while not done:
-        result = env.step(policy(obs))
-        obs = result.observation
-        write_frame_pgm(obs, out / f"frame_{step:04d}.pgm")
-        step += 1
-        done = result.done
-    print(f"wrote {step} frames to {out}")
+    steps = trainer_mod.rollout(env, policy, args.seed)
+    for n, (_, _, result) in enumerate(steps, start=1):
+        write_frame_pgm(result.observation, out / f"frame_{n - 1:04d}.pgm")
+    print(f"wrote {n} frames to {out}")
     return 0
 
 
@@ -258,7 +249,7 @@ def cmd_serve(args) -> int:
 
 
 def _add_bench(sub):
-    p = sub.add_parser("bench", help="per-stage step latency percentiles")
+    p = sub.add_parser("bench", help="control step latency percentiles")
     _env_flags(p, width=240, height=180)
     p.add_argument("--steps", type=int, default=200)
     p.set_defaults(func=cmd_bench)
@@ -270,30 +261,21 @@ def cmd_bench(args) -> int:
                             action_count=env.action_count)
     params = qnet.init_params(net_cfg, np.random.default_rng(args.seed))
     rng = np.random.default_rng(args.seed)
-    env.reset(seed=args.seed)
-    l_prev = env._l_prev
-    stages = {"render": [], "emulate": [], "noise": [], "forward": [], "total": []}
+    stages = {"step": [], "forward": []}
+    done = True
     for _ in range(args.steps):
-        env._step_count += 1
-        env._advance(int(rng.integers(0, env.action_count)))
-        t_all = time.perf_counter_ns()
+        if done:
+            env.reset()  # each episode seeded from the env's --seed stream
         t = time.perf_counter_ns()
-        l_curr = env._render()
-        stages["render"].append(time.perf_counter_ns() - t)
+        result = env.step(int(rng.integers(0, env.action_count)))
+        stages["step"].append(time.perf_counter_ns() - t)
         t = time.perf_counter_ns()
-        frame = emulate_frame(l_prev, l_curr, args.threshold)
-        stages["emulate"].append(time.perf_counter_ns() - t)
-        t = time.perf_counter_ns()
-        frame = inject_impulse_noise(frame, args.noise_prob, rng)
-        stages["noise"].append(time.perf_counter_ns() - t)
-        t = time.perf_counter_ns()
-        q = qnet.forward(params, frame, mode="eval")
-        int(np.argmax(q[0]))
+        np.argmax(qnet.forward(params, result.observation, mode="eval")[0])
         stages["forward"].append(time.perf_counter_ns() - t)
-        stages["total"].append(time.perf_counter_ns() - t_all)
-        l_prev = l_curr
+        done = result.done
+    stages["total"] = np.add(stages["step"], stages["forward"])
     print(f"{args.width}x{args.height}, {args.steps} steps (times in ms)")
-    for name in ("render", "emulate", "noise", "forward", "total"):
+    for name in ("step", "forward", "total"):
         ms = np.array(stages[name], dtype=np.float64) / 1e6
         print(f"  {name:8s} p50 {np.percentile(ms, 50):7.3f}  "
               f"p90 {np.percentile(ms, 90):7.3f}  p99 {np.percentile(ms, 99):7.3f}")

@@ -154,10 +154,13 @@ class _EventEnv:
 
     task = ""
     action_names: Tuple[str, ...] = ()
+    default_dynamics: type  # filled in when the config has no dynamics
 
     def __init__(self, config: Optional[EnvConfig] = None):
-        # a private copy: subclasses fill in `dynamics` without touching the caller's
+        # a private copy: filling in `dynamics` leaves the caller's untouched
         self.config = replace(config) if config is not None else EnvConfig()
+        if self.config.dynamics is None:
+            self.config.dynamics = self.default_dynamics()
         self._root_seq = np.random.SeedSequence(self.config.seed)
         self._scenery = default_scenery(self.task) if self.config.scenery else []
         self._rng: Optional[np.random.Generator] = None
@@ -247,11 +250,7 @@ class AvoidanceEnv(_EventEnv):
 
     task = "avoidance"
     action_names = AVOIDANCE_ACTIONS
-
-    def __init__(self, config: Optional[EnvConfig] = None):
-        super().__init__(config)
-        if self.config.dynamics is None:
-            self.config.dynamics = AvoidanceDynamics()
+    default_dynamics = AvoidanceDynamics
 
     def _spawn(self, rng: np.random.Generator):
         dyn = self.config.dynamics
@@ -297,11 +296,7 @@ class TrackingEnv(_EventEnv):
 
     task = "tracking"
     action_names = TRACKING_ACTIONS
-
-    def __init__(self, config: Optional[EnvConfig] = None):
-        super().__init__(config)
-        if self.config.dynamics is None:
-            self.config.dynamics = TrackingDynamics()
+    default_dynamics = TrackingDynamics
 
     def _spawn(self, rng: np.random.Generator):
         dyn = self.config.dynamics

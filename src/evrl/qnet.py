@@ -264,7 +264,7 @@ def forward(params: QNetworkParams, batch, mode: str = "eval") -> np.ndarray:
 
 
 def backward(params: QNetworkParams, batch, actions, targets,
-             loss_kind: str = "huber", mode: str = "train"):
+             loss_kind: str = "huber"):
     """One training pass: loss on the selected actions plus exact gradients.
 
     Runs a train-mode forward internally (updating bn running statistics),
@@ -272,8 +272,6 @@ def backward(params: QNetworkParams, batch, actions, targets,
     Returns (grads, loss) where grads maps each trainable field name to an
     array shaped like the parameter.
     """
-    if mode != "train":
-        raise RuntimeError("backward requires train mode")
     if loss_kind not in ("huber", "squared"):
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
     cfg = params.cfg

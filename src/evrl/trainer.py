@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import qnet
-from .envs import episode_return
+from .envs import StepResult, episode_return
 from .qnet import NetworkConfig, QNetworkParams
 
 
@@ -157,22 +157,40 @@ def greedy_action(params: QNetworkParams, obs: np.ndarray) -> int:
     return int(np.argmax(q[0]))
 
 
-def _run_episode(env, act, seed: int) -> Tuple[List[float], str, List[dict]]:
+def rollout(env, policy, seed: int):
+    """One episode: reset with `seed`, then act and step until done.
+
+    Yields (obs, action, StepResult) per step, where obs is the
+    observation the policy acted on. The policy is asked for the next
+    action only when the caller resumes the generator.
+    """
     obs = env.reset(seed=seed)
-    rewards: List[float] = []
-    infos: List[dict] = []
-    terminal = "max_steps"
-    while True:
-        action = act(obs)
+    done = False
+    while not done:
+        action = policy(obs)
         result = env.step(action)
-        rewards.append(result.reward)
-        infos.append(result.info)
+        yield obs, action, result
         obs = result.observation
-        if result.done:
-            if result.info.get("collision"):
-                terminal = "collision"
-            break
-    return rewards, terminal, infos
+        done = result.done
+
+
+def _episode_stats(episode: int, results: Sequence[StepResult]) -> EpisodeStats:
+    """Return, length and terminal cause of one finished episode."""
+    terminal = "collision" if results[-1].info.get("collision") else "max_steps"
+    return EpisodeStats(episode, episode_return([r.reward for r in results]),
+                        len(results), terminal)
+
+
+def _rollouts(env, policy, episodes: int, seed_rng: np.random.Generator,
+              collect_info: bool):
+    stats: List[EpisodeStats] = []
+    all_infos: List[List[dict]] = []
+    for ep in range(episodes):
+        ep_seed = int(seed_rng.integers(0, 2 ** 63))
+        results = [result for _, _, result in rollout(env, policy, ep_seed)]
+        stats.append(_episode_stats(ep, results))
+        all_infos.append([result.info for result in results])
+    return (stats, all_infos) if collect_info else stats
 
 
 def evaluate(env, params: QNetworkParams, episodes: int, seed: int = 0,
@@ -183,15 +201,8 @@ def evaluate(env, params: QNetworkParams, episodes: int, seed: int = 0,
     callers can inspect d/theta traces.
     """
     seed_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    stats: List[EpisodeStats] = []
-    all_infos: List[List[dict]] = []
-    for ep in range(episodes):
-        ep_seed = int(seed_rng.integers(0, 2 ** 63))
-        rewards, terminal, infos = _run_episode(
-            env, lambda obs: greedy_action(params, obs), ep_seed)
-        stats.append(EpisodeStats(ep, episode_return(rewards), len(rewards), terminal))
-        all_infos.append(infos)
-    return (stats, all_infos) if collect_info else stats
+    return _rollouts(env, lambda obs: greedy_action(params, obs), episodes,
+                     seed_rng, collect_info)
 
 
 def summarize(stats: Sequence[EpisodeStats]) -> Tuple[float, float]:
@@ -227,6 +238,8 @@ def train(env, trainer_config: TrainerConfig, network_config: NetworkConfig,
     eval_rng = np.random.default_rng(eval_seq)
 
     min_fill = max(cfg.batch_size, cfg.warmup_steps)
+    act = lambda obs: epsilon_greedy(qnet.forward(params, obs, mode="eval")[0],
+                                     cfg.epsilon, action_rng)
     grad_steps = 0
     loss_ma: Optional[float] = None
     stats: List[EpisodeStats] = []
@@ -234,18 +247,12 @@ def train(env, trainer_config: TrainerConfig, network_config: NetworkConfig,
     try:
         for ep in range(cfg.episodes):
             ep_seed = int(episode_rng.integers(0, 2 ** 63))
-            obs = env.reset(seed=ep_seed)
-            rewards: List[float] = []
-            terminal = "max_steps"
+            results: List[StepResult] = []
             t_start = time.perf_counter()
-            while True:
-                q = qnet.forward(params, obs, mode="eval")
-                action = epsilon_greedy(q[0], cfg.epsilon, action_rng)
-                result = env.step(action)
+            for obs, action, result in rollout(env, act, ep_seed):
                 buffer.push(Transition(obs, action, result.reward,
                                        result.observation, result.done))
-                rewards.append(result.reward)
-                obs = result.observation
+                results.append(result)
                 if len(buffer) >= min_fill:
                     batch = buffer.sample(cfg.batch_size, buffer_rng)
                     y = double_dqn_target(batch.r, batch.s_next, batch.done,
@@ -257,17 +264,13 @@ def train(env, trainer_config: TrainerConfig, network_config: NetworkConfig,
                     loss_ma = loss if loss_ma is None else 0.98 * loss_ma + 0.02 * loss
                     if grad_steps % cfg.target_update_interval == 0:
                         target = qnet.copy_params(params)
-                if result.done:
-                    if result.info.get("collision"):
-                        terminal = "collision"
-                    break
             elapsed = time.perf_counter() - t_start
-            ep_stats = EpisodeStats(ep, episode_return(rewards), len(rewards), terminal)
+            ep_stats = _episode_stats(ep, results)
             stats.append(ep_stats)
             if log_file:
                 record = {
                     "type": "train", "episode": ep, "r_sum": ep_stats.r_sum,
-                    "steps": ep_stats.steps, "terminal": terminal,
+                    "steps": ep_stats.steps, "terminal": ep_stats.terminal,
                     "loss_ma": loss_ma, "epsilon": cfg.epsilon,
                     "grad_steps": grad_steps,
                     "wall_clock_per_step": elapsed / max(1, ep_stats.steps),
@@ -292,13 +295,6 @@ def random_policy_baseline(env, episodes: int, seed: int = 0,
     """Uniform-random rollouts, the comparison baseline for training."""
     seed_rng = np.random.default_rng(np.random.SeedSequence(seed))
     action_rng = np.random.default_rng(seed_rng.integers(0, 2 ** 63))
-    stats: List[EpisodeStats] = []
-    all_infos: List[List[dict]] = []
     n_actions = env.action_count
-    for ep in range(episodes):
-        ep_seed = int(seed_rng.integers(0, 2 ** 63))
-        rewards, terminal, infos = _run_episode(
-            env, lambda obs: int(action_rng.integers(0, n_actions)), ep_seed)
-        stats.append(EpisodeStats(ep, episode_return(rewards), len(rewards), terminal))
-        all_infos.append(infos)
-    return (stats, all_infos) if collect_info else stats
+    return _rollouts(env, lambda obs: int(action_rng.integers(0, n_actions)),
+                     episodes, seed_rng, collect_info)

@@ -190,26 +190,22 @@ def test_criterion_06_reward_formula_table():
 
 
 def test_criterion_08_latency_budget():
-    # (a) full pipeline step at 240x180: render + emulate + noise + forward
+    # (a) full pipeline step at 240x180: env.step (dynamics, render,
+    # emulate, noise) + forward, with a reset whenever an episode ends
     sensor = CameraModel(width=240, height=180)
     env = AvoidanceEnv(EnvConfig(sensor=sensor, seed=0))
     net = NetworkConfig(height=180, width=240, action_count=2)
     params = init_params(net, np.random.default_rng(8))
     rng = np.random.default_rng(80)
     env.reset(seed=0)
-    l_prev = env._l_prev
     samples = []
-    for i in range(120):
-        env._step_count += 1
-        env._advance(int(rng.integers(0, 2)))
+    for _ in range(120):
         t0 = time.perf_counter_ns()
-        l_curr = env._render()
-        frame = emulate_frame(l_prev, l_curr, 0.2)
-        frame = inject_impulse_noise(frame, 0.001, rng)
-        q = forward(params, frame, mode="eval")
-        int(np.argmax(q[0]))
+        result = env.step(int(rng.integers(0, 2)))
+        int(np.argmax(forward(params, result.observation, mode="eval")[0]))
         samples.append(time.perf_counter_ns() - t0)
-        l_prev = l_curr
+        if result.done:
+            env.reset()
     pipeline_ms = float(np.median(samples[20:])) / 1e6
 
     # (b) service conversion+inference per window on a replayed stream

@@ -73,7 +73,7 @@ class TestTrain:
             db.pop("wall_clock_per_step")
             assert da == db
 
-    def test_checkpoint_step_counts_env_steps(self, tmp_path):
+    def test_checkpoint_step_equals_logged_env_steps(self, tmp_path):
         argv, out, log = train_args(tmp_path, "s")
         assert main(argv) == 0
         _, step = load_checkpoint(out)
@@ -196,6 +196,28 @@ class TestRecord:
         assert rc == 2
         assert "resolution" in capsys.readouterr().err
 
+    def test_logged_actions_are_the_actions_taken(self, monkeypatch):
+        """Window n logs the action env.step took at step n+1; the policy
+        is asked once per step and once more for the last window."""
+        env = AvoidanceEnv(EnvConfig(sensor=CameraModel(width=32, height=24),
+                                     max_steps=37, seed=2))
+        taken = []
+        step = env.step
+        monkeypatch.setattr(env, "step", lambda a: taken.append(a) or step(a))
+        prng = np.random.default_rng(6)
+        calls = []
+
+        def policy(obs):
+            calls.append(obs)
+            return int(prng.integers(0, 2))
+
+        _, records = record_episode(env, policy, np.random.default_rng(7),
+                                    10_000, seed=1)
+        assert len(taken) > 10
+        assert len(records) == len(taken)
+        assert [r["action"] for r in records[:-1]] == taken[1:]
+        assert len(calls) == len(taken) + 1
+
 
 class TestRenderDemo:
     def test_writes_one_pgm_per_step(self, tmp_path):
@@ -210,6 +232,15 @@ class TestRenderDemo:
         pixels = np.frombuffer(body.rsplit(b"255\n", 1)[1], dtype=np.uint8)
         assert set(np.unique(pixels)) <= {0, 128, 255}
 
+    def test_checkpoint_resolution_guard(self, tmp_path, capsys):
+        argv, out, _ = train_args(tmp_path, "r", extra=["--episodes", "0"])
+        assert main(argv) == 0
+        rc = main(["render-demo", "--task", "avoidance", "--width", "64",
+                   "--height", "48", "--checkpoint", str(out),
+                   "--out-dir", str(tmp_path / "frames")])
+        assert rc == 2
+        assert "resolution" in capsys.readouterr().err
+
 
 class TestBench:
     def test_reports_stage_percentiles(self, capsys):
@@ -220,11 +251,30 @@ class TestBench:
         stats = {}
         for line in out.splitlines():
             parts = line.split()
-            if parts and parts[0] in ("render", "emulate", "noise", "forward", "total"):
+            if parts and parts[0] in ("step", "forward", "total"):
                 stats[parts[0]] = (float(parts[2]), float(parts[4]), float(parts[6]))
-        assert set(stats) == {"render", "emulate", "noise", "forward", "total"}
+        assert set(stats) == {"step", "forward", "total"}
         for p50, p90, p99 in stats.values():
             assert 0.0 <= p50 <= p90 <= p99
+
+    def test_steps_run_through_env_step_across_episodes(self, monkeypatch, capsys):
+        calls = {"step": 0, "reset": 0}
+        step, reset = AvoidanceEnv.step, AvoidanceEnv.reset
+
+        def counting_step(self, action):
+            calls["step"] += 1
+            return step(self, action)
+
+        def counting_reset(self, seed=None):
+            calls["reset"] += 1
+            return reset(self, seed)
+
+        monkeypatch.setattr(AvoidanceEnv, "step", counting_step)
+        monkeypatch.setattr(AvoidanceEnv, "reset", counting_reset)
+        assert main(["bench", "--task", "avoidance", *SMALL, "--max-steps", "3",
+                     "--steps", "7"]) == 0
+        # 3 + 3 + 1 steps; no sphere drops before step 10, so no collision
+        assert calls == {"step": 7, "reset": 3}
 
 
 class TestConfigFile:

@@ -224,11 +224,6 @@ class TestBackward:
         for name in TRAINABLE_FIELDS:
             assert np.array_equal(huber_grads[name], sq_grads[name]), name
 
-    def test_eval_mode_call_is_state_error(self, rng):
-        params = init_params(SMALL, rng)
-        with pytest.raises(RuntimeError):
-            backward(params, np.zeros((1, 1, 8, 8)), [0], [0.0], mode="eval")
-
     def test_action_out_of_range(self, rng):
         params = init_params(SMALL, rng)
         with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ from evrl.qnet import NetworkConfig, forward, init_params
 from evrl.renderer import CameraModel
 from evrl.trainer import (ReplayBuffer, TrainerConfig, Transition,
                           double_dqn_target, epsilon_greedy, evaluate,
-                          greedy_action, random_policy_baseline, summarize,
-                          train)
+                          greedy_action, random_policy_baseline, rollout,
+                          summarize, train)
 
 NET = NetworkConfig(height=24, width=32, action_count=2)
 
@@ -168,6 +168,34 @@ class TestDoubleDqnTarget:
         target.fc2_b[:] = [2.0, 7.0]   # target's max is action 1
         y = double_dqn_target(0.0, s, False, online, target, 1.0)
         assert y == pytest.approx(2.0)  # Q_target at online's argmax
+
+
+class TestRollout:
+    def test_yields_each_step_of_one_seeded_episode(self):
+        env = tiny_env()
+        seen = []
+
+        def policy(obs):
+            seen.append(obs)
+            return len(seen) % 2
+
+        steps = list(rollout(env, policy, seed=9))
+        assert np.array_equal(steps[0][0], tiny_env().reset(seed=9))
+        assert len(seen) == len(steps)  # one policy call per step
+        assert all(obs is asked for (obs, _, _), asked in zip(steps, seen))
+        assert [a for _, a, _ in steps] == [(i + 1) % 2 for i in range(len(steps))]
+        for (_, _, prev), (obs, _, _) in zip(steps, steps[1:]):
+            assert obs is prev.observation and not prev.done
+        assert steps[-1][2].done
+
+    def test_policy_is_asked_only_when_resumed(self):
+        calls = []
+        steps = rollout(tiny_env(), lambda obs: calls.append(obs) or 1, seed=9)
+        assert calls == []  # nothing runs before the first next()
+        next(steps)
+        assert len(calls) == 1
+        next(steps)
+        assert len(calls) == 2
 
 
 class TestEvaluate:
