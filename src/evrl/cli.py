@@ -256,6 +256,8 @@ def _add_bench(sub):
 
 
 def cmd_bench(args) -> int:
+    if args.steps < 1:
+        raise SystemExit2("--steps must be >= 1")
     env = build_env(args)
     net_cfg = NetworkConfig(height=args.height, width=args.width,
                             action_count=env.action_count)

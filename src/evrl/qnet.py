@@ -18,12 +18,12 @@ appearing in an activation or gradient raises FloatingPointError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 HUBER_DELTA = 1.0
 
@@ -153,18 +153,51 @@ def _check_finite(name: str, arr: np.ndarray):
         raise FloatingPointError(f"non-finite values in {name}")
 
 
+@functools.lru_cache(maxsize=16)
+def _patch_index(ci, hp, wp, k, stride):
+    """Flat offsets of every receptive field in one padded (ci, hp, wp) map.
+
+    Row r = i * wo + j is output pixel (i, j); its columns walk the field in
+    (channel, kernel row, kernel column) order, the order of w.reshape(co, -1).
+    """
+    ho = conv_out_len(hp, k, stride, 0)
+    wo = conv_out_len(wp, k, stride, 0)
+    corner = (np.arange(ho)[:, None] * (stride * wp)
+              + np.arange(wo)[None, :] * stride).reshape(-1, 1)
+    within = (np.arange(ci)[:, None, None] * (hp * wp)
+              + np.arange(k)[None, :, None] * wp
+              + np.arange(k)[None, None, :]).reshape(1, -1)
+    idx = corner + within
+    idx.flags.writeable = False  # shared by every caller of the cache
+    return idx
+
+
 def _conv_forward(x, w, b, stride, pad):
-    k = w.shape[2]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # (B, Ho, Wo, Co)
+    bsz, ci, h, wd = x.shape
+    co, _, k, _ = w.shape
+    xp = np.zeros((bsz, ci, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    idx = _patch_index(ci, h + 2 * pad, wd + 2 * pad, k, stride)
+    # (B*Ho*Wo, Ci*K*K). np.take gathers the same values as
+    # xp.reshape(bsz, -1)[:, idx], about 3x faster at 240x180 with B=32
+    # (2-vCPU VM) and no slower at batch 1.
+    cols = np.take(xp.reshape(bsz, -1), idx, axis=1).reshape(-1, idx.shape[1])
+    ho = conv_out_len(h, k, stride, pad)
+    # Keep the F-ordered view w.reshape(co, -1).T: a C-contiguous copy takes
+    # another BLAS path, whose float64 sums differ in the last bits and so
+    # break seeded reproducibility (see TestConvEquivalence).
+    out = np.dot(cols, w.reshape(co, -1).T).reshape(bsz, ho, -1, co)
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b[None, :, None, None]
-    return out, (xp, win)
+    return out, (xp, cols)
 
 
-def _conv_backward(dout, xp, win, w, stride, pad, in_hw):
+def _conv_backward(dout, xp, cols, w, stride, pad, in_hw, need_dx=True):
+    """(dx, dw, db) of one conv layer; dx is None when need_dx is False."""
     db = dout.sum(axis=(0, 2, 3))
-    dw = np.tensordot(dout, win, axes=([0, 2, 3], [0, 2, 3]))  # (Co, Ci, K, K)
+    co = w.shape[0]
+    dw = np.dot(dout.transpose(1, 0, 2, 3).reshape(co, -1), cols).reshape(w.shape)
+    if not need_dx:
+        return None, dw, db
     k = w.shape[2]
     ho, wo = dout.shape[2], dout.shape[3]
     g = np.tensordot(dout, w, axes=([1], [0]))  # (B, Ho, Wo, Ci, K, K)
@@ -317,7 +350,8 @@ def backward(params: QNetworkParams, batch, actions, targets,
     db1 = da1 * (b1 > 0)
     dz1, grads["bn1_gamma"], grads["bn1_beta"] = _bn_backward(db1, xhat1, inv1, params.bn1_gamma)
     _, grads["conv1_w"], grads["conv1_b"] = _conv_backward(
-        dz1, *conv1_cache, params.conv1_w, cfg.strides[0], cfg.padding, x0.shape[2:])
+        dz1, *conv1_cache, params.conv1_w, cfg.strides[0], cfg.padding, x0.shape[2:],
+        need_dx=False)
 
     for name, g in grads.items():
         _check_finite(f"grad[{name}]", g)

@@ -276,6 +276,11 @@ class TestBench:
         # 3 + 3 + 1 steps; no sphere drops before step 10, so no collision
         assert calls == {"step": 7, "reset": 3}
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_no_steps_is_usage_error(self, capsys, steps):
+        assert main(["bench", "--task", "avoidance", *SMALL, "--steps", steps]) == 2
+        assert "--steps must be >= 1" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):

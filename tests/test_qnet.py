@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import evrl.qnet as qnet
 from evrl.qnet import (NetworkConfig, TRAINABLE_FIELDS, adam_step, backward,
@@ -57,6 +58,33 @@ def naive_forward(params, x, mode):
     flat = h.reshape(h.shape[0], -1)
     h = np.maximum(flat @ params.fc1_w.astype(np.float64).T + params.fc1_b, 0.0)
     return h @ params.fc2_w.astype(np.float64).T + params.fc2_b
+
+
+def tensordot_conv_forward(x, w, b, stride, pad):
+    """The np.pad + sliding_window_view + tensordot conv, as it was before
+    the cached patch gather; the gather must reproduce it bit for bit."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # (B, Ho, Wo, Co)
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b[None, :, None, None]
+    return out, (xp, win)
+
+
+def tensordot_conv_backward(dout, xp, win, w, stride, pad, in_hw, need_dx=True):
+    """Backward of tensordot_conv_forward; always computes dx."""
+    db = dout.sum(axis=(0, 2, 3))
+    dw = np.tensordot(dout, win, axes=([0, 2, 3], [0, 2, 3]))  # (Co, Ci, K, K)
+    k = w.shape[2]
+    ho, wo = dout.shape[2], dout.shape[3]
+    g = np.tensordot(dout, w, axes=([1], [0]))  # (B, Ho, Wo, Ci, K, K)
+    dxp = np.zeros_like(xp)
+    for u in range(k):
+        for v in range(k):
+            dxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += \
+                g[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    h, wdt = in_hw
+    return dxp[:, :, pad:pad + h, pad:pad + wdt], dw, db
 
 
 SMALL = NetworkConfig(height=8, width=8, action_count=3)
@@ -228,6 +256,49 @@ class TestBackward:
         params = init_params(SMALL, rng)
         with pytest.raises(ValueError):
             backward(params, np.zeros((1, 1, 8, 8)), [3], [0.0])
+
+
+class TestConvEquivalence:
+    """The patch-gather conv is bit-identical to the tensordot reference."""
+
+    @pytest.mark.parametrize("bsz", [1, 7, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("strides", [(4, 4), (1, 1), (2, 3), (3, 2)])
+    def test_bit_identical_to_tensordot_conv(self, rng, monkeypatch, strides, dtype, bsz):
+        cfg = NetworkConfig(height=48, width=64, action_count=4, strides=strides)
+        params = init_params(cfg, rng, dtype=dtype)
+        for name in ("conv1_b", "conv2_b", "bn1_beta", "bn2_beta"):
+            arr = getattr(params, name)
+            arr += rng.normal(0.0, 0.3, arr.shape).astype(dtype)
+        ref_params = copy_params(params)
+        x = ternary(rng, (bsz, 1, cfg.height, cfg.width)).astype(dtype)
+        actions = rng.integers(0, cfg.action_count, size=bsz)
+        targets = rng.normal(0.0, 1.0, size=bsz)
+        s1, s2 = strides
+        p = cfg.padding
+
+        z1, _ = qnet._conv_forward(x, params.conv1_w, params.conv1_b, s1, p)
+        ref_z1, _ = tensordot_conv_forward(x, params.conv1_w, params.conv1_b, s1, p)
+        assert np.array_equal(z1, ref_z1)
+        a1 = qnet._forward_with_cache(params, x, train=False)[1][5]
+        z2, _ = qnet._conv_forward(a1, params.conv2_w, params.conv2_b, s2, p)
+        ref_z2, _ = tensordot_conv_forward(a1, params.conv2_w, params.conv2_b, s2, p)
+        assert np.array_equal(z2, ref_z2)
+
+        q = forward(params, x, mode="eval")
+        grads, loss = backward(params, x, actions, targets)
+        monkeypatch.setattr(qnet, "_conv_forward", tensordot_conv_forward)
+        monkeypatch.setattr(qnet, "_conv_backward", tensordot_conv_backward)
+        ref_q = forward(ref_params, x, mode="eval")
+        ref_grads, ref_loss = backward(ref_params, x, actions, targets)
+
+        assert np.array_equal(q, ref_q)
+        assert loss == ref_loss
+        for name in TRAINABLE_FIELDS:
+            assert grads[name].dtype == ref_grads[name].dtype, name
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        for name, arr in params.arrays():
+            assert np.array_equal(arr, getattr(ref_params, name)), name
 
 
 class TestAdam:
