@@ -15,6 +15,17 @@ the full sensor width; pixels are square.
 
 Each object is ray-cast only inside the screen rectangle its bounding
 sphere can cover; the frame is identical to a cast over every pixel.
+
+The camera pitch is fixed at 0, so a ray's world x and y direction
+components depend only on its column and its z component only on its
+row. The kernels therefore take the x and y components as (w,) column
+vectors and z as an (h, 1) row vector, work on each slab or term once per
+column or row, and combine per pixel only where the terms meet. The sums
+keep the per-pixel association order, so the frame is bit-identical to a
+per-pixel cast. Adding pitch (or roll) makes every component depend on
+both row and column: `render` would then have to build full (h, w)
+direction grids, and `_background` would no longer be a function of the
+row alone.
 """
 
 from __future__ import annotations
@@ -132,16 +143,19 @@ def project(point: np.ndarray, camera: CameraModel) -> Optional[Tuple[int, int]]
 # an env renders from one of each, so a few entries cover every caller.
 @functools.lru_cache(maxsize=8)
 def _camera_grid(width: int, height: int, fov: float):
-    """Camera-frame ray components (a, b): dir = forward + a*right + b*up."""
+    """Read-only camera-frame ray components (a, b) of each column and
+    row: the ray through pixel (x, y) is forward + a[x]*right + b[y]*up."""
     f = (width / 2.0) / math.tan(fov / 2.0)
     a = (np.arange(width, dtype=np.float64) + 0.5 - width / 2.0) / f
     b = (height / 2.0 - (np.arange(height, dtype=np.float64) + 0.5)) / f
-    return np.broadcast_to(a, (height, width)), np.broadcast_to(b[:, None], (height, width))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 @functools.lru_cache(maxsize=8)
 def _background(width: int, height: int, fov: float, eye_z: float):
-    """Read-only (t, intensity) of the horizon: ground below, sky above.
+    """Read-only (t, log-intensity frame) of the horizon: ground below,
+    sky above.
 
     Independent of yaw and of the camera's x/y position.
     """
@@ -150,41 +164,56 @@ def _background(width: int, height: int, fov: float, eye_z: float):
     t_ground = np.where(below, -eye_z / np.where(below, dz, -1.0), np.inf)
     grounded = below & (t_ground > _RAY_EPS)
     t_bg = np.where(grounded, t_ground, np.inf)
-    i_bg = np.where(grounded, GROUND_INTENSITY, SKY_INTENSITY)
-    t_bg.flags.writeable = i_bg.flags.writeable = False
-    return t_bg, i_bg
+    log_bg = np.log(np.where(grounded, GROUND_INTENSITY, SKY_INTENSITY)).astype(np.float32)
+    t_bg, log_bg = (np.repeat(x[:, None], width, axis=1) for x in (t_bg, log_bg))
+    t_bg.flags.writeable = log_bg.flags.writeable = False
+    return t_bg, log_bg
 
 
 def _intersect_sphere(eye, dx, dy, dz, center, radius):
-    """Smallest positive ray parameter per pixel, inf where missed."""
+    """Smallest positive ray parameter per pixel, inf where missed.
+
+    The column terms (in dx, dy) and row terms (in dz) are formed once
+    each; broadcasting adds them per pixel as (dx*dx + dy*dy) + dz*dz.
+    The quadratic is solved in its half-b form, nb = -b/2, which drops
+    the factors 2 and 4 from b, b*b - 4ac and 2a. Scaling by a power of
+    two is exact away from overflow and subnormals, so the roots are
+    bit-identical to those of the full form.
+    """
     ox, oy, oz = eye - center
-    a = dx * dx + dy * dy + dz * dz
-    b = 2.0 * (ox * dx + oy * dy + oz * dz)
+    a = (dx * dx + dy * dy) + dz * dz
+    nb = -(ox * dx + oy * dy) + -(oz * dz)
     c = ox * ox + oy * oy + oz * oz - radius * radius
-    disc = b * b - 4.0 * a * c
+    disc = nb * nb - a * c
     hit = disc >= 0.0
     sq = np.sqrt(np.where(hit, disc, 0.0))
-    t_near = (-b - sq) / (2.0 * a)
-    t_far = (-b + sq) / (2.0 * a)
+    t_near = (nb - sq) / a
+    t_far = (nb + sq) / a
     t = np.where(t_near > _RAY_EPS, t_near, t_far)
     return np.where(hit & (t > _RAY_EPS), t, np.inf)
 
 
+def _slab(d, o, half):
+    """Entry and exit ray parameters of the slab |o + t*d| <= half, and
+    where a ray parallel to it starts outside it."""
+    parallel = d == 0.0
+    inv = np.where(parallel, np.inf, 1.0 / np.where(parallel, 1.0, d))
+    t1 = (-half - o) * inv
+    t2 = (half - o) * inv
+    lo = np.where(parallel, -np.inf, np.minimum(t1, t2))
+    hi = np.where(parallel, np.inf, np.maximum(t1, t2))
+    return lo, hi, parallel & ((o < -half) | (o > half))
+
+
 def _intersect_box(eye, dx, dy, dz, center, half):
-    """Axis-aligned cube via the slab method, vectorized per pixel."""
-    t_lo = np.full(dx.shape, -np.inf)
-    t_hi = np.full(dx.shape, np.inf)
-    outside_parallel = np.zeros(dx.shape, dtype=bool)
-    for d, o in ((dx, eye[0] - center[0]), (dy, eye[1] - center[1]), (dz, eye[2] - center[2])):
-        parallel = d == 0.0
-        with np.errstate(divide="ignore"):
-            inv = np.where(parallel, np.inf, 1.0 / np.where(parallel, 1.0, d))
-        t1 = (-half - o) * inv
-        t2 = (half - o) * inv
-        t_lo = np.maximum(t_lo, np.where(parallel, -np.inf, np.minimum(t1, t2)))
-        t_hi = np.minimum(t_hi, np.where(parallel, np.inf, np.maximum(t1, t2)))
-        outside_parallel |= parallel & ((o < -half) | (o > half))
-    hit = (t_hi >= np.maximum(t_lo, _RAY_EPS)) & ~outside_parallel
+    """Axis-aligned cube via the slab method: each slab on its own
+    direction component, combined per pixel."""
+    x_lo, x_hi, x_out = _slab(dx, eye[0] - center[0], half)
+    y_lo, y_hi, y_out = _slab(dy, eye[1] - center[1], half)
+    z_lo, z_hi, z_out = _slab(dz, eye[2] - center[2], half)
+    t_lo = np.maximum(np.maximum(x_lo, y_lo), z_lo)
+    t_hi = np.minimum(np.minimum(x_hi, y_hi), z_hi)
+    hit = (t_hi >= np.maximum(t_lo, _RAY_EPS)) & ~((x_out | y_out) | z_out)
     t = np.where(t_lo > _RAY_EPS, t_lo, t_hi)
     return np.where(hit & (t > _RAY_EPS), t, np.inf)
 
@@ -200,14 +229,15 @@ def _tan_span(p: float, q: float, r: float):
     return (math.tan(lo), math.tan(hi)) if lo < hi else None
 
 
-def _screen_rect(obj: SceneObject, camera: CameraModel, eye: np.ndarray):
-    """Slice of the frame holding every pixel whose primary ray can hit the
-    object, with a 1-pixel margin for roundoff; None when no pixel can.
+def _screen_rect(obj: SceneObject, camera: CameraModel, eye: np.ndarray, basis):
+    """(rows, cols) slices of the frame holding every pixel whose primary
+    ray can hit the object, with a 1-pixel margin for roundoff; None when
+    no pixel can. `eye` and `basis` are the camera's.
 
     The object's bounding sphere, seen along each sensor axis, is a disk
     in the plane of that axis and depth; its tangent rays bound the slice.
     """
-    forward, right, up = camera.basis()
+    forward, right, up = basis
     rel = obj.center - eye
     zc = float(rel @ forward)
     r = obj.radius_or_half_extent * (math.sqrt(3.0) if obj.shape == "box" else 1.0)
@@ -221,7 +251,7 @@ def _screen_rect(obj: SceneObject, camera: CameraModel, eye: np.ndarray):
     c1 = min(math.floor(min(w / 2.0 + f * xs[1], w + 1.0) - 0.5) + 2, w)
     r0 = max(math.floor(max(h / 2.0 - f * ys[1], -1.0) - 0.5) - 1, 0)
     r1 = min(math.floor(min(h / 2.0 - f * ys[0], h + 1.0) - 0.5) + 2, h)
-    return np.s_[r0:r1, c0:c1] if c0 < c1 and r0 < r1 else None
+    return (slice(r0, r1), slice(c0, c1)) if c0 < c1 and r0 < r1 else None
 
 
 def render(scene: Sequence[SceneObject], camera: CameraModel) -> IntensityFrame:
@@ -233,23 +263,27 @@ def render(scene: Sequence[SceneObject], camera: CameraModel) -> IntensityFrame:
     """
     a, b = _camera_grid(camera.width, camera.height, camera.horizontal_fov)
     c, s = math.cos(camera.yaw), math.sin(camera.yaw)
-    eye = camera.eye
-    t_best, intensity = (x.copy() for x in _background(
+    eye, basis = camera.eye, camera.basis()
+    t_best, frame = (x.copy() for x in _background(
         camera.width, camera.height, camera.horizontal_fov, float(eye[2])))
 
     for obj in scene:
-        win = _screen_rect(obj, camera, eye)
+        win = _screen_rect(obj, camera, eye, basis)
         if win is None:
             continue
-        aw = a[win]
-        # dir = forward + a*right + b*up with the pitch-0 basis written out.
-        dx, dy, dz = c + aw * s, s - aw * c, b[win]
+        rows, cols = win
+        ac = a[cols]
+        # dir = forward + a*right + b*up with the pitch-0 basis written
+        # out: dx, dy per column, dz per row.
+        dx, dy, dz = c + ac * s, s - ac * c, b[rows, None]
         if obj.shape == "sphere":
             t = _intersect_sphere(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
         else:
             t = _intersect_box(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
-        closer = t < t_best[win]
-        intensity[win][closer] = obj.intensity
-        t_best[win][closer] = t[closer]
+        best = t_best[win]
+        closer = t < best
+        np.copyto(best, t, where=closer)
+        np.copyto(frame[win], np.log(np.float64(obj.intensity)).astype(np.float32),
+                  where=closer)
 
-    return np.log(intensity).astype(np.float32)
+    return frame

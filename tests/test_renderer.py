@@ -14,13 +14,58 @@ LOG_SKY = np.float32(math.log(SKY_INTENSITY))
 LOG_GROUND = np.float32(math.log(GROUND_INTENSITY))
 
 
+def pixel_grid(camera):
+    """Full (H, W) ray direction grids (dx, dy, dz), one entry per pixel."""
+    w, h = camera.width, camera.height
+    f = (w / 2.0) / math.tan(camera.horizontal_fov / 2.0)
+    a = (np.arange(w, dtype=np.float64) + 0.5 - w / 2.0) / f
+    b = (h / 2.0 - (np.arange(h, dtype=np.float64) + 0.5)) / f
+    a, b = np.tile(a, (h, 1)), np.repeat(b[:, None], w, axis=1)
+    c, s = math.cos(camera.yaw), math.sin(camera.yaw)
+    return c + a * s, s - a * c, b
+
+
+# The per-pixel kernels as they were before the ray-cast became separable,
+# frozen here so that the oracle shares no ray math with the renderer.
+def pixel_sphere(eye, dx, dy, dz, center, radius):
+    ox, oy, oz = eye - center
+    a = dx * dx + dy * dy + dz * dz
+    b = 2.0 * (ox * dx + oy * dy + oz * dz)
+    c = ox * ox + oy * oy + oz * oz - radius * radius
+    disc = b * b - 4.0 * a * c
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t_near = (-b - sq) / (2.0 * a)
+    t_far = (-b + sq) / (2.0 * a)
+    t = np.where(t_near > renderer._RAY_EPS, t_near, t_far)
+    return np.where(hit & (t > renderer._RAY_EPS), t, np.inf)
+
+
+def pixel_box(eye, dx, dy, dz, center, half):
+    t_lo = np.full(dx.shape, -np.inf)
+    t_hi = np.full(dx.shape, np.inf)
+    outside_parallel = np.zeros(dx.shape, dtype=bool)
+    for d, o in ((dx, eye[0] - center[0]), (dy, eye[1] - center[1]), (dz, eye[2] - center[2])):
+        parallel = d == 0.0
+        with np.errstate(divide="ignore"):
+            inv = np.where(parallel, np.inf, 1.0 / np.where(parallel, 1.0, d))
+        t1 = (-half - o) * inv
+        t2 = (half - o) * inv
+        t_lo = np.maximum(t_lo, np.where(parallel, -np.inf, np.minimum(t1, t2)))
+        t_hi = np.minimum(t_hi, np.where(parallel, np.inf, np.maximum(t1, t2)))
+        outside_parallel |= parallel & ((o < -half) | (o > half))
+    hit = (t_hi >= np.maximum(t_lo, renderer._RAY_EPS)) & ~outside_parallel
+    t = np.where(t_lo > renderer._RAY_EPS, t_lo, t_hi)
+    return np.where(hit & (t > renderer._RAY_EPS), t, np.inf)
+
+
+PIXEL_KERNELS = {"sphere": pixel_sphere, "box": pixel_box}
+SEPARABLE_KERNELS = {"sphere": renderer._intersect_sphere, "box": renderer._intersect_box}
+
+
 def full_frame_render(scene, camera):
     """Oracle: every object ray-cast against every pixel, no culling."""
-    a, b = renderer._camera_grid(camera.width, camera.height, camera.horizontal_fov)
-    c, s = math.cos(camera.yaw), math.sin(camera.yaw)
-    dx = c + a * s
-    dy = s - a * c
-    dz = b
+    dx, dy, dz = pixel_grid(camera)
     eye = camera.eye
 
     below = dz < 0.0
@@ -30,10 +75,7 @@ def full_frame_render(scene, camera):
     intensity = np.where(grounded, GROUND_INTENSITY, SKY_INTENSITY)
 
     for obj in scene:
-        if obj.shape == "sphere":
-            t = renderer._intersect_sphere(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
-        else:
-            t = renderer._intersect_box(eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
+        t = PIXEL_KERNELS[obj.shape](eye, dx, dy, dz, obj.center, obj.radius_or_half_extent)
         closer = t < t_best
         intensity = np.where(closer, obj.intensity, intensity)
         t_best = np.where(closer, t, t_best)
@@ -318,5 +360,80 @@ class TestCulling:
         for cached in (renderer._background, renderer._camera_grid):
             info = cached.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
-        t_bg, _ = renderer._background(16, 12, cam.horizontal_fov, 0.15)
-        assert not t_bg.flags.writeable  # shared entries cannot be scribbled on
+        # shared entries cannot be scribbled on
+        for shared in (*renderer._background(16, 12, cam.horizontal_fov, 0.15),
+                       *renderer._camera_grid(16, 12, cam.horizontal_fov)):
+            assert not shared.flags.writeable
+
+
+class TestSeparableKernels:
+    """The kernels on per-column (dx, dy) and per-row (dz) vectors against
+    the frozen per-pixel kernels on full grids, bit for bit."""
+
+    @staticmethod
+    def assert_kernel_matches(obj, camera, win=np.s_[:, :]):
+        dx, dy, dz = (g[win] for g in pixel_grid(camera))
+        # pitch 0: every row of dx and dy, and every column of dz, is the same
+        assert (dx == dx[:1]).all() and (dy == dy[:1]).all() and (dz == dz[:, :1]).all()
+        args = (camera.eye, obj.center, obj.radius_or_half_extent)
+        want = PIXEL_KERNELS[obj.shape](args[0], dx, dy, dz, *args[1:])
+        got = SEPARABLE_KERNELS[obj.shape](args[0], dx[0], dy[0], dz[:, :1], *args[1:])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        return int(np.isfinite(want).sum())
+
+    def test_random_poses_and_objects(self):
+        rng = np.random.default_rng(77)
+        hits = 0
+        for _ in range(200):
+            w, h = (int(n) for n in rng.integers(4, 90, 2))
+            cam = CameraModel(width=w, height=h, yaw=float(rng.uniform(-math.pi, math.pi)),
+                              position=vec3(*rng.uniform(-1.0, 1.0, 2), 0.0),
+                              horizontal_fov=float(rng.uniform(0.3, 2.8)),
+                              mount_height=float(rng.uniform(0.05, 2.0)))
+            r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            win = np.s_[r0:int(rng.integers(r0 + 1, h + 1)), c0:int(rng.integers(c0 + 1, w + 1))]
+            for shape in ("sphere", "box"):
+                obj = SceneObject(shape, cam.eye + rng.uniform(-2.0, 2.0, 3),
+                                  float(rng.uniform(0.05, 1.0)))
+                hits += self.assert_kernel_matches(obj, cam) > 0
+                self.assert_kernel_matches(obj, cam, win)
+        assert hits > 100
+
+    @pytest.mark.parametrize("shape", ["sphere", "box"])
+    def test_horizon_row_of_odd_height(self, shape):
+        cam = CameraModel(width=40, height=31, yaw=0.3)
+        assert (pixel_grid(cam)[2] == 0.0).any()
+        forward, right, _ = cam.basis()
+        for z in (0.0, 0.1, -0.1):
+            obj = SceneObject(shape, cam.eye + 1.5 * forward + 0.2 * right + vec3(0, 0, z), 0.3)
+            assert self.assert_kernel_matches(obj, cam) > 0
+
+    @pytest.mark.parametrize("shape", ["sphere", "box"])
+    def test_centre_column_of_odd_width_at_yaw_zero(self, shape):
+        signs = set()
+        for yaw in (0.0, -0.0):
+            cam = CameraModel(width=41, height=30, yaw=yaw)
+            dy = pixel_grid(cam)[1][0]
+            assert dy[20] == 0.0
+            signs.add(bool(np.signbit(dy[20])))
+            for y in (0.0, 0.15, -0.15):
+                obj = SceneObject(shape, cam.eye + vec3(1.5, y, 0.05), 0.3)
+                assert self.assert_kernel_matches(obj, cam) > 0
+        assert signs == {False, True}  # both +0.0 and -0.0 were cast
+
+    def test_eye_inside_box(self):
+        for yaw in (0.0, 0.7, -2.2):
+            cam = CameraModel(width=33, height=25, yaw=yaw, position=vec3(0.3, -0.2, 0.0))
+            for offset in (vec3(0, 0, 0), vec3(0.05, -0.03, 0.02)):
+                box = SceneObject("box", cam.eye + offset, 0.1)
+                assert self.assert_kernel_matches(box, cam) == cam.width * cam.height
+
+    def test_spheres_straddling_camera_plane(self):
+        cam = CameraModel(width=64, height=47, yaw=0.4, position=vec3(0.0, 0.0, 1.0))
+        forward, right, up = cam.basis()
+        for side in (right, -right, up, -up):
+            hits = [self.assert_kernel_matches(
+                SceneObject("sphere", cam.eye + depth * forward + 0.3 * side, 0.25), cam)
+                for depth in (0.1, 0.0, -0.1)]
+            assert sum(hits) > 0
