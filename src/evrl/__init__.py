@@ -13,7 +13,7 @@ from .envs import (AvoidanceEnv, EnvConfig, StepResult, TrackingEnv,
                    avoidance_reward, episode_return, tracking_reward, wrap_angle)
 from .qnet import (AdamState, NetworkConfig, QNetworkParams, adam_step, backward,
                    copy_params, forward, init_adam, init_params)
-from .trainer import (EpisodeStats, ReplayBuffer, TrainerConfig, Transition,
+from .trainer import (EpisodeStats, ReplayBuffer, TrainerConfig,
                       double_dqn_target, epsilon_greedy, evaluate, summarize, train)
 from .eventio import (FormatError, load_checkpoint, read_events, read_events_csv,
                       save_checkpoint, write_events, write_events_csv,
@@ -30,7 +30,7 @@ __all__ = [
     "avoidance_reward", "episode_return", "tracking_reward", "wrap_angle",
     "AdamState", "NetworkConfig", "QNetworkParams", "adam_step", "backward",
     "copy_params", "forward", "init_adam", "init_params",
-    "EpisodeStats", "ReplayBuffer", "TrainerConfig", "Transition",
+    "EpisodeStats", "ReplayBuffer", "TrainerConfig",
     "double_dqn_target", "epsilon_greedy", "evaluate", "summarize", "train",
     "FormatError", "load_checkpoint", "read_events", "read_events_csv",
     "save_checkpoint", "write_events", "write_events_csv", "write_frame_pgm",

@@ -59,7 +59,6 @@ def episode_return(rewards: Sequence[float]) -> float:
 class AgentState:
     position: np.ndarray
     yaw: float
-    forward_speed: float
 
 
 @dataclass
@@ -180,7 +179,7 @@ class _EventEnv:
         else:
             seq = np.random.SeedSequence(seed)
         self._rng = np.random.default_rng(seq)
-        self.agent = AgentState(position=vec3(0.0, 0.0, 0.0), yaw=0.0, forward_speed=0.0)
+        self.agent = AgentState(position=vec3(0.0, 0.0, 0.0), yaw=0.0)
         self._spawn(self._rng)
         self._done = False
         self._step_count = 0
@@ -228,6 +227,11 @@ class _EventEnv:
         dyn = self.config.dynamics
         return self._distance() < dyn.agent_radius + self.sphere.radius
 
+    def _drive_forward(self):
+        """Move the agent one step along its heading."""
+        heading = vec3(math.cos(self.agent.yaw), math.sin(self.agent.yaw), 0.0)
+        self.agent.position += self.config.dynamics.v_forward * self.config.dt * heading
+
     def _spawn(self, rng: np.random.Generator):
         raise NotImplementedError
 
@@ -265,14 +269,9 @@ class AvoidanceEnv(_EventEnv):
 
     def _advance(self, action: int):
         cfg = self.config
-        dyn = cfg.dynamics
         forward = action == 0
         if forward:
-            heading = vec3(math.cos(self.agent.yaw), math.sin(self.agent.yaw), 0.0)
-            self.agent.position += dyn.v_forward * cfg.dt * heading
-            self.agent.forward_speed = dyn.v_forward
-        else:
-            self.agent.forward_speed = 0.0
+            self._drive_forward()
 
         sph = self.sphere
         if self._step_count >= self._trigger:
@@ -325,11 +324,8 @@ class TrackingEnv(_EventEnv):
         cfg = self.config
         dyn = cfg.dynamics
         if action == 0:
-            heading = vec3(math.cos(self.agent.yaw), math.sin(self.agent.yaw), 0.0)
-            self.agent.position += dyn.v_forward * cfg.dt * heading
-            self.agent.forward_speed = dyn.v_forward
+            self._drive_forward()
         else:
-            self.agent.forward_speed = 0.0
             sign = -1.0 if action == 1 else 1.0  # right decreases yaw
             self.agent.yaw = wrap_angle(self.agent.yaw + sign * dyn.turn_rate * cfg.dt)
 

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .events import EVENT_DTYPE, events_array
-from .qnet import PARAM_FIELDS, NetworkConfig, QNetworkParams
+from .qnet import NetworkConfig, QNetworkParams, param_shapes
 
 EVT1_MAGIC = b"EVT1"
 EVT1_VERSION = 1
@@ -149,19 +149,6 @@ def save_checkpoint(path, params: QNetworkParams, step: int = 0):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _param_shapes(cfg: NetworkConfig):
-    c1, c2 = cfg.conv_channels
-    k = cfg.kernel
-    return {
-        "conv1_w": (c1, 1, k, k), "conv1_b": (c1,),
-        "bn1_gamma": (c1,), "bn1_beta": (c1,), "bn1_mean": (c1,), "bn1_var": (c1,),
-        "conv2_w": (c2, c1, k, k), "conv2_b": (c2,),
-        "bn2_gamma": (c2,), "bn2_beta": (c2,), "bn2_mean": (c2,), "bn2_var": (c2,),
-        "fc1_w": (cfg.fc_width, cfg.flat_dim), "fc1_b": (cfg.fc_width,),
-        "fc2_w": (cfg.action_count, cfg.fc_width), "fc2_b": (cfg.action_count,),
-    }
-
-
 def load_checkpoint(path, expect: Optional[NetworkConfig] = None):
     """Returns (params, step). With expect set, any config drift is an error."""
     with open(path, "rb") as fh:
@@ -187,11 +174,9 @@ def load_checkpoint(path, expect: Optional[NetworkConfig] = None):
         raise FormatError(
             f"checkpoint config {cfg} does not match expected {expect}"
         )
-    shapes = _param_shapes(cfg)
     offset = _CKPT_HEADER.size
     arrays = {}
-    for name in PARAM_FIELDS:
-        shape = shapes[name]
+    for name, shape in param_shapes(cfg).items():
         nbytes = int(np.prod(shape)) * 4
         if offset + nbytes > len(data):
             raise FormatError(f"truncated array {name!r} at offset {offset}")

@@ -27,17 +27,6 @@ import numpy as np
 
 HUBER_DELTA = 1.0
 
-# Parameter arrays in declaration (= serialization) order.
-PARAM_FIELDS = (
-    "conv1_w", "conv1_b", "bn1_gamma", "bn1_beta", "bn1_mean", "bn1_var",
-    "conv2_w", "conv2_b", "bn2_gamma", "bn2_beta", "bn2_mean", "bn2_var",
-    "fc1_w", "fc1_b", "fc2_w", "fc2_b",
-)
-# Fields updated by the optimizer; bn running statistics are excluded
-# (they are updated by train-mode forward passes, not by gradients).
-TRAINABLE_FIELDS = tuple(f for f in PARAM_FIELDS if f not in
-                         ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var"))
-
 
 def conv_out_len(n: int, kernel: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - kernel) // stride + 1
@@ -112,34 +101,44 @@ class QNetworkParams:
             yield name, getattr(self, name)
 
 
-def init_params(cfg: NetworkConfig, rng: np.random.Generator, dtype=np.float32) -> QNetworkParams:
-    """Uniform(+-sqrt(1/fan_in)) weights, zero biases, identity batchnorm."""
+# Parameter arrays in declaration (= serialization) order.
+PARAM_FIELDS = tuple(f.name for f in fields(QNetworkParams) if f.name != "cfg")
+# Fields updated by the optimizer; bn running statistics are excluded
+# (they are updated by train-mode forward passes, not by gradients).
+TRAINABLE_FIELDS = tuple(f for f in PARAM_FIELDS if f not in
+                         ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var"))
+
+
+def param_shapes(cfg: NetworkConfig) -> Dict[str, Tuple[int, ...]]:
+    """The shape of each parameter array, in PARAM_FIELDS order."""
     c1, c2 = cfg.conv_channels
     k = cfg.kernel
+    return {
+        "conv1_w": (c1, 1, k, k), "conv1_b": (c1,),
+        "bn1_gamma": (c1,), "bn1_beta": (c1,), "bn1_mean": (c1,), "bn1_var": (c1,),
+        "conv2_w": (c2, c1, k, k), "conv2_b": (c2,),
+        "bn2_gamma": (c2,), "bn2_beta": (c2,), "bn2_mean": (c2,), "bn2_var": (c2,),
+        "fc1_w": (cfg.fc_width, cfg.flat_dim), "fc1_b": (cfg.fc_width,),
+        "fc2_w": (cfg.action_count, cfg.fc_width), "fc2_b": (cfg.action_count,),
+    }
 
-    def uniform(shape, fan_in):
-        bound = math.sqrt(1.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
-    def zeros(n):
-        return np.zeros(n, dtype=dtype)
+def init_params(cfg: NetworkConfig, rng: np.random.Generator, dtype=np.float32) -> QNetworkParams:
+    """Uniform(+-sqrt(1/fan_in)) weights, zero biases, identity batchnorm.
 
-    def ones(n):
-        return np.ones(n, dtype=dtype)
-
-    return QNetworkParams(
-        cfg=cfg,
-        conv1_w=uniform((c1, 1, k, k), k * k),
-        conv1_b=zeros(c1),
-        bn1_gamma=ones(c1), bn1_beta=zeros(c1), bn1_mean=zeros(c1), bn1_var=ones(c1),
-        conv2_w=uniform((c2, c1, k, k), c1 * k * k),
-        conv2_b=zeros(c2),
-        bn2_gamma=ones(c2), bn2_beta=zeros(c2), bn2_mean=zeros(c2), bn2_var=ones(c2),
-        fc1_w=uniform((cfg.fc_width, cfg.flat_dim), cfg.flat_dim),
-        fc1_b=zeros(cfg.fc_width),
-        fc2_w=uniform((cfg.action_count, cfg.fc_width), cfg.fc_width),
-        fc2_b=zeros(cfg.action_count),
-    )
+    A weight's fan-in is the product of its trailing dimensions. Weights
+    are drawn from rng in PARAM_FIELDS order.
+    """
+    arrays = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith("_w"):
+            bound = math.sqrt(1.0 / math.prod(shape[1:]))
+            arrays[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        elif name.endswith(("_gamma", "_var")):
+            arrays[name] = np.ones(shape, dtype=dtype)
+        else:
+            arrays[name] = np.zeros(shape, dtype=dtype)
+    return QNetworkParams(cfg=cfg, **arrays)
 
 
 def copy_params(src: QNetworkParams) -> QNetworkParams:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,46 +23,36 @@ from .envs import StepResult, episode_return
 from .qnet import NetworkConfig, QNetworkParams
 
 
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    done: bool
-
-
-@dataclass
-class TransitionBatch:
-    s: np.ndarray        # (B, H, W)
-    a: np.ndarray        # (B,) int64
-    r: np.ndarray        # (B,) float32
-    s_next: np.ndarray   # (B, H, W)
-    done: np.ndarray     # (B,) bool
-
-
 class ReplayBuffer:
-    """Ring buffer; oldest transitions are evicted first once full."""
+    """Ring buffer of (s, a, r, s_next, done) tuples; oldest evicted first.
+
+    Frames are kept by reference, so consecutive transitions share the
+    array that is one's s_next and the next one's s.
+    """
 
     def __init__(self, capacity: int = 10 ** 6):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._storage: List[Transition] = []
+        self._storage: List[tuple] = []
         self._cursor = 0
 
     def __len__(self) -> int:
         return len(self._storage)
 
-    def push(self, transition: Transition):
+    def push(self, transition: tuple):
         if len(self._storage) < self.capacity:
             self._storage.append(transition)
         else:
             self._storage[self._cursor] = transition
             self._cursor = (self._cursor + 1) % self.capacity
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
-        """Uniform with replacement; raises until batch_size items are stored."""
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple:
+        """Uniform with replacement; raises until batch_size items are stored.
+
+        Returns (s, a, r, s_next, done): frames stacked to (B, H, W),
+        actions int64, rewards float32 and done flags bool.
+        """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if len(self._storage) < batch_size:
@@ -70,14 +60,9 @@ class ReplayBuffer:
                 f"buffer holds {len(self._storage)} transitions, need {batch_size}"
             )
         idx = rng.integers(0, len(self._storage), size=batch_size)
-        items = [self._storage[i] for i in idx]
-        return TransitionBatch(
-            s=np.stack([t.s for t in items]),
-            a=np.array([t.a for t in items], dtype=np.int64),
-            r=np.array([t.r for t in items], dtype=np.float32),
-            s_next=np.stack([t.s_next for t in items]),
-            done=np.array([t.done for t in items], dtype=bool),
-        )
+        s, a, r, s_next, done = zip(*(self._storage[i] for i in idx))
+        return (np.stack(s), np.array(a, dtype=np.int64), np.array(r, dtype=np.float32),
+                np.stack(s_next), np.array(done, dtype=bool))
 
 
 @dataclass
@@ -250,14 +235,13 @@ def train(env, trainer_config: TrainerConfig, network_config: NetworkConfig,
             results: List[StepResult] = []
             t_start = time.perf_counter()
             for obs, action, result in rollout(env, act, ep_seed):
-                buffer.push(Transition(obs, action, result.reward,
-                                       result.observation, result.done))
+                buffer.push((obs, action, result.reward, result.observation,
+                             result.done))
                 results.append(result)
                 if len(buffer) >= min_fill:
-                    batch = buffer.sample(cfg.batch_size, buffer_rng)
-                    y = double_dqn_target(batch.r, batch.s_next, batch.done,
-                                          params, target, cfg.gamma)
-                    grads, loss = qnet.backward(params, batch.s, batch.a, y,
+                    s, a, r, s_next, done = buffer.sample(cfg.batch_size, buffer_rng)
+                    y = double_dqn_target(r, s_next, done, params, target, cfg.gamma)
+                    grads, loss = qnet.backward(params, s, a, y,
                                                 loss_kind=cfg.loss_kind)
                     qnet.adam_step(params, grads, adam)
                     grad_steps += 1

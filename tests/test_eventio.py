@@ -203,8 +203,12 @@ class TestCheckpoint:
             x = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(48, 64))
             assert np.array_equal(forward(params, x), forward(loaded, x))
 
-    def test_all_arrays_bit_identical(self, rng, tmp_path):
-        cfg = NetworkConfig(height=24, width=32, action_count=3)
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(height=24, width=32, action_count=3),
+        NetworkConfig(height=24, width=32, action_count=3, conv_channels=(3, 5),
+                      kernel=5, strides=(1, 2), padding=2, fc_width=7),
+    ], ids=["default", "wide-kernel"])
+    def test_all_arrays_bit_identical(self, rng, tmp_path, cfg):
         params = init_params(cfg, rng)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, params, step=7)

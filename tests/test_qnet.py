@@ -1,5 +1,7 @@
 """Q-network forward/backward/Adam against naive-summation and FD oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -334,6 +336,53 @@ class TestAdam:
             results.append({n: a.copy() for n, a in params.arrays()})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name]), name
+
+
+def frozen_init_params(cfg, rng, dtype):
+    """The hand-written init that preceded qnet.param_shapes, kept as the
+    reference for draw order, fan-ins and fill values."""
+    c1, c2 = cfg.conv_channels
+    k = cfg.kernel
+
+    def uniform(shape, fan_in):
+        bound = math.sqrt(1.0 / fan_in)
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+    def zeros(n):
+        return np.zeros(n, dtype=dtype)
+
+    def ones(n):
+        return np.ones(n, dtype=dtype)
+
+    return dict(
+        conv1_w=uniform((c1, 1, k, k), k * k),
+        conv1_b=zeros(c1),
+        bn1_gamma=ones(c1), bn1_beta=zeros(c1), bn1_mean=zeros(c1), bn1_var=ones(c1),
+        conv2_w=uniform((c2, c1, k, k), c1 * k * k),
+        conv2_b=zeros(c2),
+        bn2_gamma=ones(c2), bn2_beta=zeros(c2), bn2_mean=zeros(c2), bn2_var=ones(c2),
+        fc1_w=uniform((cfg.fc_width, cfg.flat_dim), cfg.flat_dim),
+        fc1_b=zeros(cfg.fc_width),
+        fc2_w=uniform((cfg.action_count, cfg.fc_width), cfg.fc_width),
+        fc2_b=zeros(cfg.action_count),
+    )
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(height=24, width=32, action_count=2),
+        NetworkConfig(height=48, width=64, action_count=3),
+        NetworkConfig(height=24, width=32, action_count=3, conv_channels=(3, 5),
+                      kernel=5, strides=(1, 2), padding=2, fc_width=7),
+    ], ids=["32x24", "64x48", "wide-kernel"])
+    def test_matches_frozen_hand_written_init(self, cfg, dtype):
+        ref = frozen_init_params(cfg, np.random.default_rng(7), dtype)
+        params = init_params(cfg, np.random.default_rng(7), dtype)
+        assert tuple(ref) == qnet.PARAM_FIELDS == tuple(qnet.param_shapes(cfg))
+        for name, arr in params.arrays():
+            assert arr.dtype == dtype, name
+            assert np.array_equal(arr, ref[name]), name
 
 
 class TestCopyParams:

@@ -9,10 +9,9 @@ from evrl.envs import AvoidanceEnv, EnvConfig
 from evrl.events import EmulatorConfig
 from evrl.qnet import NetworkConfig, forward, init_params
 from evrl.renderer import CameraModel
-from evrl.trainer import (ReplayBuffer, TrainerConfig, Transition,
-                          double_dqn_target, epsilon_greedy, evaluate,
-                          greedy_action, random_policy_baseline, rollout,
-                          summarize, train)
+from evrl.trainer import (ReplayBuffer, TrainerConfig, double_dqn_target,
+                          epsilon_greedy, evaluate, greedy_action,
+                          random_policy_baseline, rollout, summarize, train)
 
 NET = NetworkConfig(height=24, width=32, action_count=2)
 
@@ -59,19 +58,19 @@ class TestEpsilonGreedy:
             epsilon_greedy(np.array([]), 0.0, rng)
 
 
-def make_transition(tag: int) -> Transition:
+def make_transition(tag: int):
     s = np.full((2, 2), tag, dtype=np.int8)
-    return Transition(s=s, a=tag % 2, r=float(tag), s_next=s, done=False)
+    return (s, tag % 2, float(tag), s, False)
 
 
 class TestReplayBuffer:
-    def test_fifo_eviction(self):
+    def test_fifo_eviction(self, rng):
         buf = ReplayBuffer(capacity=3)
         for i in range(4):
             buf.push(make_transition(i))
         assert len(buf) == 3
-        kept = sorted(t.r for t in buf._storage)
-        assert kept == [1.0, 2.0, 3.0]  # oldest (0) evicted
+        r = np.concatenate([buf.sample(3, rng)[2] for _ in range(100)])
+        assert sorted(set(r.tolist())) == [1.0, 2.0, 3.0]  # oldest (0) evicted
 
     def test_underfilled_sample_is_state_error(self, rng):
         buf = ReplayBuffer(capacity=10)
@@ -91,14 +90,16 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=8)
         for i in range(8):
             buf.push(make_transition(i))
-        batch = buf.sample(5, rng)
-        assert batch.s.shape == (5, 2, 2)
-        assert batch.a.shape == (5,)
-        assert batch.done.dtype == np.bool_
+        s, a, r, s_next, done = buf.sample(5, rng)
+        assert s.shape == s_next.shape == (5, 2, 2)
+        assert s.dtype == s_next.dtype == np.int8
+        assert a.shape == (5,) and a.dtype == np.int64
+        assert r.dtype == np.float32
+        assert done.dtype == np.bool_
         for row in range(5):
-            tag = batch.r[row]
-            assert np.all(batch.s[row] == tag)
-            assert batch.a[row] == int(tag) % 2
+            tag = r[row]
+            assert np.all(s[row] == tag)
+            assert a[row] == int(tag) % 2
 
     def test_sampling_is_uniform_with_replacement(self, rng):
         buf = ReplayBuffer(capacity=4)
@@ -108,8 +109,8 @@ class TestReplayBuffer:
         batches = 10_000
         saw_repeat = False
         for _ in range(batches):
-            batch = buf.sample(4, rng)
-            idx = batch.r.astype(int)
+            _, _, r, _, _ = buf.sample(4, rng)
+            idx = r.astype(int)
             counts += np.bincount(idx, minlength=4)
             saw_repeat = saw_repeat or len(set(idx.tolist())) < 4
         draws = 4 * batches
