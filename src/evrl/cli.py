@@ -197,9 +197,10 @@ def cmd_record(args) -> int:
         ep_seed = int(seed_rng.integers(0, 2 ** 63))
         stamp_rng = np.random.default_rng(int(seed_rng.integers(0, 2 ** 63)))
         stream, records = record_episode(env, policy, stamp_rng, dt_us, ep_seed)
-        evt_path = stem.with_suffix(f".ep{ep}.evt1")
+        # appended to the stem's name: with_suffix would cut a dotted stem
+        evt_path = stem.with_name(f"{stem.name}.ep{ep}.evt1")
         write_events(evt_path, stream, args.width, args.height)
-        with open(stem.with_suffix(f".ep{ep}.jsonl"), "w") as fh:
+        with open(stem.with_name(f"{stem.name}.ep{ep}.jsonl"), "w") as fh:
             fh.write(json.dumps({"type": "meta", "task": args.task,
                                  "width": args.width, "height": args.height,
                                  "dt_us": dt_us, "seed": ep_seed}) + "\n")

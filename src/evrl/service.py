@@ -19,20 +19,25 @@ a monotonic clock. Replies are sent with TCP_NODELAY, so every action of
 a message that closes several windows leaves at once.
 
 Each events message is parsed and checked as one array, and the same
-WindowBucketer.add that offline_actions runs cuts it into windows. Hello
-width, height and dt_us and every event field must be JSON integers (not
-floats or booleans), with 0 <= t < 2**64, 0 <= x < W, 0 <= y < H, p in
-{-1, 1} and t non-decreasing within a message. A malformed line draws an
-error and closes the connection. A message is sorted, so its events older
-than the open window form its head: they are all dropped with one error
-reply, the rest of the message is served, and the session stays up. A
-session that fails in any other way is closed, and the server goes on
-accepting connections.
+WindowBucketer.add that offline_actions runs cuts it into windows. An
+events line in the compact or the json.dumps default form, with fields of
+at most 18 digits, is checked by regexes and decoded from its bytes by
+one np.fromstring; every other line goes through json.loads, and both give
+the same array and the same replies. Hello width, height and dt_us and
+every event field must be JSON integers (not floats or booleans), with
+0 <= t < 2**64, 0 <= x < W, 0 <= y < H, p in {-1, 1} and t non-decreasing
+within a message. A malformed line, or one longer than 16 MiB (newline
+included), draws an error and closes the connection. A message is sorted,
+so its events older than the open window form its head: they are all
+dropped with one error reply, the rest of the message is served, and the
+session stays up. A session that fails in any other way is closed, and
+the server goes on accepting connections.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
@@ -53,6 +58,25 @@ _NO_EVENTS = np.zeros(0, dtype=EVENT_DTYPE)
 _NO_EVENTS.flags.writeable = False
 
 Window = Tuple[int, np.ndarray]  # (step, that window's events)
+
+# Longest accepted line, newline included. The largest message the
+# benchmark sends is about 120 KB; a longer line draws an error reply and
+# a close instead of a read that waits for a newline forever.
+_MAX_LINE = 16 * 2 ** 20
+
+# An events line in the compact or the json.dumps default form: the head
+# up to the list's "[", rows [t,x,y,p] joined by "," or ", ", and the tail
+# after its "]". Integers are JSON integers of at most 18 digits, so int64
+# parsing cannot saturate; longer ones, and every other spelling of the
+# message, go to json.loads. The rows are found by substitution, not by
+# one match of a repeated group: the regex engine keeps about 1 kB of
+# backtracking state per repetition of a group, 6.7 MB for 6000 rows.
+_WS = rb"[ \t\r\n]*"  # JSON whitespace
+_EVENTS_HEAD = re.compile(_WS.join([b"", rb"\{", b'"type"', b":", b'"events"', b",",
+                                    b'"events"', b":", rb"\["]))
+_EVENTS_TAIL = re.compile(_WS + rb"\}" + _WS)
+_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+_ROW = re.compile(rb"\[%s, ?%s, ?%s, ?%s\]" % (_INT, _INT, _INT, _INT))
 
 
 class LateEventError(ValueError):
@@ -163,6 +187,18 @@ def offline_actions(events, dt_us: int, params: QNetworkParams) -> List[int]:
             for step, window in windows]
 
 
+def _field_masks(t, x, y, p, width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-event masks of the field rules: (outside t and sensor, bad polarity)."""
+    outside = (t < 0) | (t >= _T_LIMIT) | (x < 0) | (x >= width) | (y < 0) | (y >= height)
+    return outside, (p != 1) & (p != -1)
+
+
+def _pack(t, x, y, p) -> np.ndarray:
+    out = np.zeros(len(t), dtype=EVENT_DTYPE)  # field by field: pad bytes stay zero
+    out["t"], out["x"], out["y"], out["p"] = t, x, y, p
+    return out
+
+
 def _parse_events(events, width: int, height: int) -> np.ndarray:
     """One JSON events list as an EVENT_DTYPE array, checked as a whole.
 
@@ -185,16 +221,42 @@ def _parse_events(events, width: int, height: int) -> np.ndarray:
         t, x, y, p = np.array(fields, dtype=np.int64).reshape(-1, 4).T
     except OverflowError:  # t >= 2**63 or a field past 64 bits: the masks name it
         t, x, y, p = np.array(fields, dtype=object).reshape(-1, 4).T
-    bad = (t < 0) | (t >= _T_LIMIT) | (x < 0) | (x >= width) | (y < 0) | (y >= height)
-    if bad.any():
-        raise ValueError(f"event {events[int(np.argmax(bad))]!r} outside t >= 0 "
+    outside, polarity = _field_masks(t, x, y, p, width, height)
+    if outside.any():
+        raise ValueError(f"event {events[int(np.argmax(outside))]!r} outside t >= 0 "
                          f"and the {width}x{height} sensor")
-    bad = (p != 1) & (p != -1)
-    if bad.any():
-        raise ValueError(f"polarity must be -1 or 1, got {events[int(np.argmax(bad))][3]}")
-    out = np.zeros(len(events), dtype=EVENT_DTYPE)
-    out["t"], out["x"], out["y"], out["p"] = t, x, y, p
-    return out
+    if polarity.any():
+        raise ValueError(f"polarity must be -1 or 1, got {events[int(np.argmax(polarity))][3]}")
+    return _pack(t, x, y, p)
+
+
+def _decode_events_line(raw: bytes, width: int, height: int) -> Optional[np.ndarray]:
+    """The events of one raw events line, decoded without json.loads.
+
+    Returns the array _parse_events would build from the parsed line, or
+    None for any line it has not fully checked: another message type or
+    spelling, a field of more than 18 digits, or an event that breaks a
+    rule. None sends the line down the json.loads path, which serves it or
+    names its fault.
+    """
+    head = _EVENTS_HEAD.match(raw)
+    end = raw.rfind(b"]")  # the head holds none, so this closes the list
+    if head is None or end < head.end() or _EVENTS_TAIL.fullmatch(raw, end + 1) is None:
+        return None
+    rows = raw[head.end():end]
+    if not rows:
+        return _NO_EVENTS
+    # each valid row becomes one r and all else stays, so the list is rows
+    # and separators alone exactly when what is left reads r,r,...,r
+    shape, count = _ROW.subn(b"r", rows)
+    if shape.replace(b", ", b",") != b"r" + b",r" * (count - 1):
+        return None
+    t, x, y, p = np.fromstring(rows.translate(None, b"[]"), dtype=np.int64,
+                               sep=",").reshape(-1, 4).T
+    outside, polarity = _field_masks(t, x, y, p, width, height)
+    if (outside | polarity).any():
+        return None
+    return _pack(t, x, y, p)
 
 
 class ActionService:
@@ -259,10 +321,18 @@ class ActionService:
                 pass
 
         bucketer: Optional[WindowBucketer] = None
-        for raw in reader:
-            if self._shutdown.is_set():
+        while True:
+            raw = reader.readline(_MAX_LINE + 1)
+            if not raw or self._shutdown.is_set():
                 break
             try:
+                if len(raw) > _MAX_LINE:
+                    raise ValueError(f"line longer than {_MAX_LINE} bytes")
+                if bucketer is not None:  # hello checked the stream's resolution
+                    events = _decode_events_line(raw, cfg.width, cfg.height)
+                    if events is not None:
+                        self._ingest(bucketer, events, send)
+                        continue
                 msg = json.loads(raw.decode())
                 if not isinstance(msg, dict):
                     raise ValueError("message is not an object")
@@ -282,7 +352,8 @@ class ActionService:
                 elif mtype == "events":
                     if bucketer is None:
                         raise ValueError("events before hello")
-                    self._ingest(bucketer, msg["events"], send)
+                    self._ingest(bucketer, _parse_events(msg["events"], cfg.width,
+                                                         cfg.height), send)
                 elif mtype == "flush":
                     if bucketer is None:
                         raise ValueError("flush before hello")
@@ -298,12 +369,10 @@ class ActionService:
                 break
         reader.close()
 
-    def _ingest(self, bucketer: WindowBucketer, events, send):
-        # hello has checked that the stream's resolution is the checkpoint's
-        cfg = self.params.cfg
+    def _ingest(self, bucketer: WindowBucketer, events: np.ndarray, send):
         late: Optional[LateEventError] = None
         try:
-            closed = bucketer.add(_parse_events(events, cfg.width, cfg.height))
+            closed = bucketer.add(events)
         except LateEventError as exc:
             late, closed = exc, exc.closed  # the late head is dropped
         for step, window in closed:

@@ -144,6 +144,16 @@ class TestRecord:
             # per-window actions are legal
             assert all(0 <= r["action"] < 2 for r in records)
 
+    def test_dotted_stems_keep_their_names(self, tmp_path):
+        """--out rec/a.greedy writes rec/a.greedy.ep0.*, so a second run with
+        --out rec/a.random leaves the first run's files alone."""
+        for tag in ("greedy", "random"):
+            assert main(["record", "--task", "avoidance", *SMALL, "--episodes", "1",
+                         "--max-steps", "5", "--out", str(tmp_path / f"a.{tag}")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.greedy.ep0.evt1", "a.greedy.ep0.jsonl",
+            "a.random.ep0.evt1", "a.random.ep0.jsonl"]
+
     def test_first_event_pinned_to_grid(self, tmp_path):
         stem = tmp_path / "pin"
         assert main(["record", "--task", "avoidance", *SMALL, "--episodes", "1",

@@ -1,6 +1,7 @@
 """Window bucketing and the TCP action service."""
 
 import json
+import re
 import socket
 import threading
 import time
@@ -201,13 +202,14 @@ class Client:
         self.sock.close()
 
 
-def replay(address, ev, count):
-    """The first `count` actions a fresh session sends back for a stream."""
+def replay(address, ev, count, spell=json.dumps):
+    """The first `count` actions a fresh session sends back for a stream,
+    sent as one events message that `spell` turns into JSON text."""
     c = Client(address)
     try:
         assert c.hello()["type"] == "ready"
-        c.send({"type": "events", "events": [
-            [int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])] for e in ev]})
+        c.send_raw((spell({"type": "events", "events": [
+            [int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])] for e in ev]}) + "\n").encode())
         c.send({"type": "flush"})
         got = []
         while len(got) < count:
@@ -624,3 +626,142 @@ class TestServiceInput:
         finally:
             c.close()
         assert sorted(took)[2] < 0.020, took
+
+    def test_line_length_is_bounded(self, service, rng):
+        """A line of the limit is served; one byte more draws an error and a
+        close, where a read would otherwise wait for a newline forever."""
+        svc, params = service
+        limit = service_mod._MAX_LINE
+        assert limit >= 16 * 2 ** 20
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            head = b'{"type":"events","events":[[0,1,1,1],[%d,1,1,1]]}' % DT
+            c.send_raw(head + b" " * (limit - len(head) - 1) + b"\n")
+            assert c.recv()["step"] == 1
+            c.send_raw(b" " * (limit + 1))
+            err = c.recv()
+            assert err == {"type": "error",
+                           "message": f"malformed message: line longer than {limit} bytes"}
+            assert c.recv() is None
+        finally:
+            c.close()
+        ev = random_stream(rng)
+        want = offline_actions(ev, DT, params)
+        assert replay(svc.address, ev, len(want)) == want
+
+
+def compact(msg):
+    return json.dumps(msg, separators=(",", ":"))
+
+
+def keys_swapped(msg):
+    return json.dumps({"events": msg["events"], "note": None, "type": msg["type"]})
+
+
+def spaced(msg):
+    return json.dumps(msg, separators=(" , ", " : "))
+
+
+@pytest.mark.parametrize("spell, fast", [(json.dumps, True), (compact, True),
+                                         (keys_swapped, False), (spaced, False)])
+def test_every_spelling_serves_the_same_actions(service, rng, spell, fast):
+    """Lines in the compact or json.dumps default form are decoded without
+    json.loads; every other spelling goes through it. Both serve alike."""
+    svc, params = service
+    ev = random_stream(rng)
+    line = spell({"type": "events", "events": [[int(v) for v in e] for e in ev]}).encode()
+    assert (service_mod._decode_events_line(line, NET.width, NET.height) is not None) == fast
+    want = offline_actions(ev, DT, params)
+    assert replay(svc.address, ev, len(want), spell) == want
+
+
+# Tokens the decoder differential test splices into valid events lines.
+SPLICE = [b"0", b"00", b"01", b"-0", b"-", b"+1", b"1.0", b".5", b"1e2", b"1E+2",
+          b"true", b"false", b"null", b" ", b"  ", b"\t", b"\r\n", b"\n", b"[", b"]",
+          b",", b",]", b"}", b'"', b"-1", b"2", b"%d" % NET.width, b"%d" % NET.height,
+          b"9" * 18, b"1" + b"0" * 18, b"%d" % (2 ** 63 - 1), b"%d" % 2 ** 63,
+          b"9" * 19, b"%d" % (2 ** 64 - 1), b"9" * 20]
+
+
+def decoded_or_none(raw):
+    """_decode_events_line on one line, checked against the generic path:
+    a decoded array must be the one json.loads + _parse_events give."""
+    got = service_mod._decode_events_line(raw, NET.width, NET.height)
+    if got is not None:
+        try:
+            msg = json.loads(raw.decode())
+            want = service_mod._parse_events(msg["events"], NET.width, NET.height)
+            kind = msg["type"]
+        except (ValueError, KeyError, TypeError) as exc:
+            pytest.fail(f"decoded a line the generic path refuses ({exc}): {raw!r}")
+        assert kind == "events", raw
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), raw
+    return got
+
+
+# Other envelopes for an events list: json.loads takes them all, the
+# decoder only the last two (JSON whitespace between tokens).
+ENVELOPES = [b'{"events":%s,"type":"events"}\n', b'{"type":"events","events":%s,"k":1}\n',
+             b'{"k":[1],"type":"events","events":%s}\n', b'{"type":"events","events":%s}\r\n',
+             b' \t{ "type" :"events" ,\r\n"events"\t: %s }  \n']
+
+
+def mutate(raw, rng):
+    """One seeded edit of an events line, at the byte, number, row or
+    envelope level."""
+    op = int(rng.integers(5))
+    if op == 4:  # the same events in another envelope, if the line still parses
+        try:
+            return ENVELOPES[int(rng.integers(len(ENVELOPES)))] % json.dumps(
+                json.loads(raw.decode())["events"]).encode()
+        except (ValueError, KeyError, TypeError):
+            op = 0
+    spans = [m.span() for m in re.finditer(rb"-?[0-9]+" if op == 2 else rb"\[[^][]*\]", raw)]
+    if op == 2 and spans:  # replace one number
+        lo, hi = spans[int(rng.integers(len(spans)))]
+        return raw[:lo] + SPLICE[int(rng.integers(len(SPLICE)))] + raw[hi:]
+    if op == 3 and spans:  # a row of 3 or 5 fields
+        lo, hi = spans[int(rng.integers(len(spans)))]
+        row = raw[lo:hi - 1]
+        row = row[:row.rindex(b",")] if rng.random() < 0.5 and b"," in row else row + b",1"
+        return raw[:lo] + row + raw[hi - 1:]
+    if op == 1:  # drop one byte
+        at = int(rng.integers(len(raw)))
+        return raw[:at] + raw[at + 1:]
+    at = int(rng.integers(len(raw) + 1))  # splice a token in anywhere
+    return raw[:at] + SPLICE[int(rng.integers(len(SPLICE)))] + raw[at:]
+
+
+def test_decoder_agrees_with_the_generic_path():
+    """Seeded differential test of _decode_events_line against json.loads +
+    _parse_events: valid lines in both fast forms, and up to three edits
+    of them (leading zeros, -0, floats, exponents, booleans, whitespace,
+    brackets, trailing commas, short and long rows, other key orders, extra
+    keys, CRLF, 18- to 20-digit fields, t at 2**63 and 2**64 - 1)."""
+    for spell in (compact, json.dumps):  # every token at every byte and as every field
+        raw = (spell({"type": "events", "events": [[15, 1, 12, 1], [27, 3, 4, -1]]})
+               + "\n").encode()
+        assert decoded_or_none(raw) is not None
+        for at in range(len(raw)):
+            decoded_or_none(raw[:at] + raw[at + 1:])
+        for token in SPLICE:
+            for at in range(len(raw) + 1):
+                decoded_or_none(raw[:at] + token + raw[at:])
+            for m in re.finditer(rb"-?[0-9]+", raw):
+                decoded_or_none(raw[:m.start()] + token + raw[m.end():])
+    rng = np.random.default_rng(1408)
+    edited_fast = 0
+    for case in range(4000):
+        n = int(rng.integers(0, 6))
+        t = np.sort(rng.integers(0, 10 ** int(rng.integers(1, 19)), n))
+        rows = [[int(v) for v in row] for row in zip(
+            t, rng.integers(0, NET.width, n), rng.integers(0, NET.height, n),
+            rng.choice([-1, 1], n))]
+        raw = ((compact if case % 2 else json.dumps)(
+            {"type": "events", "events": rows}) + "\n").encode()
+        assert decoded_or_none(raw) is not None, raw  # both valid forms go fast
+        for _ in range(int(rng.integers(1, 4))):
+            raw = mutate(raw, rng)
+        edited_fast += decoded_or_none(raw) is not None
+    assert 0 < edited_fast < 4000
