@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qnet, trainer as trainer_mod
 from .envs import AvoidanceEnv, EnvConfig, TrackingEnv
-from .events import EVENT_DTYPE, EmulatorConfig
+from .events import EmulatorConfig, pack_events
 from .eventio import load_checkpoint, save_checkpoint, write_events, write_frame_pgm
 from .qnet import NetworkConfig
 from .renderer import CameraModel
@@ -158,21 +158,15 @@ def record_episode(env, policy, rng: np.random.Generator, dt_us: int,
         frames.append(result.observation)
     actions = actions[1:] + [policy(frames[-1])]
     records: List[dict] = []
-    parts = []  # (t, x, y, p) arrays of each window with events
+    parts = []  # one 4 x n array of t, x, y, p rows per window
     for step, (frame, action) in enumerate(zip(frames, actions), start=1):
         start = (step - 1) * dt_us
         ys, xs = np.nonzero(frame)
-        if len(ys):
-            ts = np.sort(rng.integers(start, start + dt_us, size=len(ys)))
-            parts.append((ts, xs, ys, frame[ys, xs]))
-        records.append({"step": step, "action": int(action),
-                        "events": int(len(ys))})
-    # filled field by field: a structured concatenate leaves the pad bytes unset
-    stream = np.zeros(sum(len(part[0]) for part in parts), dtype=EVENT_DTYPE)
-    for name, cols in zip(EVENT_DTYPE.names, zip(*parts)):
-        stream[name] = np.concatenate(cols)
-    if len(stream):
-        stream["t"][0] = stream["t"][0] // dt_us * dt_us  # pin the anchor to the grid
+        ts = np.sort(rng.integers(start, start + dt_us, size=len(ys)))
+        parts.append(np.stack([ts, xs, ys, frame[ys, xs]]))
+        records.append({"step": step, "action": int(action), "events": len(ys)})
+    stream = pack_events(*np.concatenate(parts, axis=1))
+    stream["t"][:1] = stream["t"][:1] // dt_us * dt_us  # pin the anchor to the grid
     return stream, records
 
 
@@ -305,6 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_accepts(action: argparse.Action, value) -> bool:
+    """Whether a --config value passes its flag's type and choices; a switch
+    such as --no-scenery takes only true or false."""
+    if action.nargs == 0:
+        return type(value) is bool
+    try:
+        typed = (action.type or str)(str(value))
+    except ValueError:
+        return False
+    return typed == value and (action.choices is None or value in action.choices)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -315,10 +321,15 @@ def main(argv=None) -> int:
                 defaults = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"--config: {exc}")
-        unknown = sorted(set(defaults) - set(vars(args)))
+        sub = parser.subcommands[args.command]
+        actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+        unknown = sorted(set(defaults) - set(actions))
         if unknown:
             parser.error(f"--config: unknown keys {unknown}")
-        parser.subcommands[args.command].set_defaults(**defaults)
+        for key, value in defaults.items():
+            if not _flag_accepts(actions[key], value):
+                parser.error(f"--config: {key}: its flag does not accept {value!r}")
+        sub.set_defaults(**defaults)
         args = parser.parse_args(argv)  # explicit flags still win
     try:
         return args.func(args)

@@ -23,35 +23,31 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .events import EVENT_DTYPE, events_array
+from .events import EVENT_DTYPE, event_faults, events_array, pack_events
 from .qnet import NetworkConfig, QNetworkParams, param_shapes
 
 EVT1_MAGIC = b"EVT1"
 EVT1_VERSION = 1
 _EVT1_HEADER = struct.Struct("<4sHHHQ")
+_CSV_SIDE = 2 ** 16  # CSV declares no sensor: x and y are u16 fields
 
 CHECKPOINT_MAGIC = b"EVRL"
 CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sH10HddQ")
 
 
-class FormatError(Exception):
+class FormatError(ValueError):
     """Malformed file content; the message pinpoints the failure."""
 
 
 def write_events(path, events, width: int, height: int):
-    """Write an EVT1 stream. The writer enforces ascending timestamps."""
+    """Write an EVT1 stream; refuses, by ValueError, what read_events would."""
     arr = events_array(events)
     if not (0 < width <= 0xFFFF and 0 < height <= 0xFFFF):
         raise ValueError(f"width/height out of range: {width}x{height}")
-    if (arr["t"][1:] < arr["t"][:-1]).any():
-        raise ValueError("events must be sorted ascending by t")
-    if len(arr) and ((arr["x"] >= width).any() or (arr["y"] >= height).any()):
-        raise ValueError("event coordinates exceed the declared dimensions")
+    _check_records(arr, width, height, "event {}".format)
     # rebuild to guarantee zeroed pad bytes regardless of the input's origin
-    out = np.zeros(len(arr), dtype=EVENT_DTYPE)
-    for name in ("t", "x", "y", "p"):
-        out[name] = arr[name]
+    out = pack_events(arr["t"], arr["x"], arr["y"], arr["p"])
     with open(path, "wb") as fh:
         fh.write(_EVT1_HEADER.pack(EVT1_MAGIC, EVT1_VERSION, width, height, len(out)))
         fh.write(out.tobytes())
@@ -80,35 +76,39 @@ def read_events(path) -> Tuple[np.ndarray, int, int]:
         )
     events = np.frombuffer(data, dtype=EVENT_DTYPE, count=count,
                            offset=_EVT1_HEADER.size).copy()
-    i = _first_bad_record(events, width, height)
-    if i is not None:
-        offset = _EVT1_HEADER.size + i * EVENT_DTYPE.itemsize
-        raise FormatError(f"invalid record {i} at offset {offset}")
+    _check_records(events, width, height, lambda i: f"invalid record {i} at offset "
+                   f"{_EVT1_HEADER.size + i * EVENT_DTYPE.itemsize}", FormatError)
     return events, width, height
 
 
-def _first_bad_record(events: np.ndarray, width: int, height: int) -> Optional[int]:
-    """The index of the first invalid record, or None."""
-    bad = (events["x"] >= width) | (events["y"] >= height) | \
-        ((events["p"] != 1) & (events["p"] != -1))
-    bad[1:] |= events["t"][1:] < events["t"][:-1]
-    idx = np.flatnonzero(bad)
-    return int(idx[0]) if idx.size else None
+def _check_records(ev, width: int, height: int, where, error=ValueError):
+    """Raise error, led by where(i), at the first event i of the columns
+    ev["t"], ev["x"], ev["y"], ev["p"] that fails event_faults or ascending t."""
+    t, x, y, p = ev["t"], ev["x"], ev["y"], ev["p"]
+    outside, polarity = event_faults(t, x, y, p, width, height)
+    unsorted = np.zeros(len(t), dtype=bool)
+    unsorted[1:] = t[1:] < t[:-1]
+    bad = np.flatnonzero(outside | polarity | unsorted)
+    if bad.size:
+        i = bad[0]
+        fault = (f"polarity must be -1 or 1, got {p[i]}" if polarity[i] else
+                 "timestamps not ascending" if unsorted[i] else
+                 f"field out of range in {t[i]},{x[i]},{y[i]},{p[i]}")
+        raise error(f"{where(i)}: {fault}")
 
 
 def write_events_csv(path, events):
-    """Plain text, one event per line as "t,x,y,p", no header."""
+    """One "t,x,y,p" line per event, no header; refuses what read_events_csv would."""
     arr = events_array(events)
-    if (arr["t"][1:] < arr["t"][:-1]).any():
-        raise ValueError("events must be sorted ascending by t")
+    _check_records(arr, _CSV_SIDE, _CSV_SIDE, "event {}".format)
     with open(path, "w") as fh:
         for t, x, y, p in zip(arr["t"], arr["x"], arr["y"], arr["p"]):
             fh.write(f"{t},{x},{y},{p}\n")
 
 
 def read_events_csv(path) -> np.ndarray:
-    rows = []
-    prev_t = -1
+    """Read a CSV stream, checked by the EVT1 rules with x, y < 2**16."""
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -118,18 +118,13 @@ def read_events_csv(path) -> np.ndarray:
             if len(parts) != 4:
                 raise FormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
             try:
-                t, x, y, p = (int(v) for v in parts)
+                rows.append([int(v) for v in parts])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer field in {line!r}") from None
-            if p not in (-1, 1):
-                raise FormatError(f"line {lineno}: polarity must be -1 or 1, got {p}")
-            if t < prev_t:
-                raise FormatError(f"line {lineno}: timestamps not ascending")
-            if not (0 <= t <= 2 ** 64 - 1 and 0 <= x <= 0xFFFF and 0 <= y <= 0xFFFF):
-                raise FormatError(f"line {lineno}: field out of range in {line!r}")
-            prev_t = t
-            rows.append((t, x, y, p))
-    return events_array(rows)
+            linenos.append(lineno)
+    cols = dict(zip("txyp", np.array(rows, dtype=object).reshape(-1, 4).T))  # exact, unwrapped ints
+    _check_records(cols, _CSV_SIDE, _CSV_SIDE, lambda i: f"line {linenos[i]}", FormatError)
+    return pack_events(**cols)
 
 
 def _config_words(cfg: NetworkConfig) -> Tuple[int, ...]:

@@ -12,6 +12,7 @@ control window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -62,10 +63,23 @@ def events_array(events) -> np.ndarray:
         return events
     if not (isinstance(events, np.ndarray) and events.dtype.names):
         events = np.array([tuple(e) for e in events], dtype=_PACKED_DTYPE)
-    out = np.zeros(len(events), dtype=EVENT_DTYPE)
-    for name in EVENT_DTYPE.names:
-        out[name] = events[name]
+    return pack_events(events["t"], events["x"], events["y"], events["p"])
+
+
+def pack_events(t, x, y, p) -> np.ndarray:
+    """An EVENT_DTYPE array of four columns that pass event_faults, filled
+    field by field so that the pad bytes are zero."""
+    out = np.zeros(len(t), dtype=EVENT_DTYPE)
+    out["t"], out["x"], out["y"], out["p"] = t, x, y, p
     return out
+
+
+def event_faults(t, x, y, p, width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-event masks (outside t and sensor, bad polarity) of the record
+    rules 0 <= t < 2**64, 0 <= x < width, 0 <= y < height and p in {-1, 1},
+    for integer columns of any dtype, object arrays of Python ints included."""
+    outside = (t < 0) | (t >= 2 ** 64) | (x < 0) | (x >= width) | (y < 0) | (y >= height)
+    return outside, (p != 1) & (p != -1)
 
 
 def emulate_frame(l_prev: np.ndarray, l_curr: np.ndarray, threshold: float) -> EventFrame:
@@ -91,33 +105,24 @@ def accumulate_events(events, t_start: int, t_end: int, width: int, height: int)
     Events are applied in ascending timestamp order (a stable sort is applied
     internally, so slightly reordered capture streams are accepted); when
     several events hit the same pixel inside the window, the last one wins.
+    Every event, inside the window or not, must obey event_faults.
     """
     if not t_start < t_end:
         raise ValueError(f"empty window: t_start={t_start} >= t_end={t_end}")
     ev = events_array(events)
-    frame = np.zeros((height, width), dtype=np.int8)
-    if len(ev) == 0:
-        return frame
-    x = ev["x"].astype(np.int64)
-    y = ev["y"].astype(np.int64)
-    if (x >= width).any() or (y >= height).any():
-        bad = int(np.argmax((x >= width) | (y >= height)))
-        raise ValueError(
-            f"event {bad} out of range: (x={x[bad]}, y={y[bad]}) "
-            f"for {width}x{height} sensor"
-        )
-    t = ev["t"].astype(np.uint64)
-    inside = (t >= t_start) & (t < t_end)
-    if not inside.any():
-        return frame
-    order = np.argsort(t[inside], kind="stable")
-    lin = (y[inside][order] * width + x[inside][order])
-    pol = ev["p"][inside][order]
+    outside, polarity = event_faults(ev["t"], ev["x"], ev["y"], ev["p"], width, height)
+    if (outside | polarity).any():
+        bad = int(np.argmax(outside | polarity))
+        raise ValueError(f"event {bad} {ev[bad]} is invalid on a {width}x{height} sensor")
+    idx = np.flatnonzero((ev["t"] >= t_start) & (ev["t"] < t_end))
+    inside = ev[idx[np.argsort(ev["t"][idx], kind="stable")]]
+    lin = inside["y"] * np.intp(width) + inside["x"]
     # Keep only the final write per pixel: first occurrence in the reversed
     # sorted order is the last event for that pixel.
     _, rev_first = np.unique(lin[::-1], return_index=True)
     keep = len(lin) - 1 - rev_first
-    frame.ravel()[lin[keep]] = pol[keep]
+    frame = np.zeros((height, width), dtype=np.int8)
+    frame.ravel()[lin[keep]] = inside["p"][keep]
     return frame
 
 

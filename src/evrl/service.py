@@ -24,9 +24,9 @@ events line in the compact or the json.dumps default form, with fields of
 at most 18 digits, is checked by regexes and decoded from its bytes by
 one np.fromstring; every other line goes through json.loads, and both give
 the same array and the same replies. Hello width, height and dt_us and
-every event field must be JSON integers (not floats or booleans), with
-0 <= t < 2**64, 0 <= x < W, 0 <= y < H, p in {-1, 1} and t non-decreasing
-within a message. A malformed line, or one longer than 16 MiB (newline
+every event field must be JSON integers (not floats or booleans); events
+must pass the record rules of events.event_faults and be non-decreasing
+in t within a message. A malformed line, or one longer than 16 MiB (newline
 included), draws an error and closes the connection. A message is sorted,
 so its events older than the open window form its head: they are all
 dropped with one error reply, the rest of the message is served, and the
@@ -48,7 +48,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import qnet
-from .events import EVENT_DTYPE, accumulate_events, events_array
+from .events import EVENT_DTYPE, accumulate_events, event_faults, events_array, pack_events
 from .qnet import QNetworkParams
 
 
@@ -187,24 +187,12 @@ def offline_actions(events, dt_us: int, params: QNetworkParams) -> List[int]:
             for step, window in windows]
 
 
-def _field_masks(t, x, y, p, width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-event masks of the field rules: (outside t and sensor, bad polarity)."""
-    outside = (t < 0) | (t >= _T_LIMIT) | (x < 0) | (x >= width) | (y < 0) | (y >= height)
-    return outside, (p != 1) & (p != -1)
-
-
-def _pack(t, x, y, p) -> np.ndarray:
-    out = np.zeros(len(t), dtype=EVENT_DTYPE)  # field by field: pad bytes stay zero
-    out["t"], out["x"], out["y"], out["p"] = t, x, y, p
-    return out
-
-
 def _parse_events(events, width: int, height: int) -> np.ndarray:
     """One JSON events list as an EVENT_DTYPE array, checked as a whole.
 
     Each event is [t, x, y, p] of JSON integers (not floats or booleans)
-    with 0 <= t < 2**64, 0 <= x < width, 0 <= y < height and p in {-1, 1}.
-    A ValueError names the first item that breaks a rule.
+    that pass event_faults. A ValueError names the first item that breaks
+    a rule.
     """
     if type(events) is not list:
         raise ValueError("events must be a list")
@@ -221,13 +209,13 @@ def _parse_events(events, width: int, height: int) -> np.ndarray:
         t, x, y, p = np.array(fields, dtype=np.int64).reshape(-1, 4).T
     except OverflowError:  # t >= 2**63 or a field past 64 bits: the masks name it
         t, x, y, p = np.array(fields, dtype=object).reshape(-1, 4).T
-    outside, polarity = _field_masks(t, x, y, p, width, height)
+    outside, polarity = event_faults(t, x, y, p, width, height)
     if outside.any():
         raise ValueError(f"event {events[int(np.argmax(outside))]!r} outside t >= 0 "
                          f"and the {width}x{height} sensor")
     if polarity.any():
         raise ValueError(f"polarity must be -1 or 1, got {events[int(np.argmax(polarity))][3]}")
-    return _pack(t, x, y, p)
+    return pack_events(t, x, y, p)
 
 
 def _decode_events_line(raw: bytes, width: int, height: int) -> Optional[np.ndarray]:
@@ -253,10 +241,10 @@ def _decode_events_line(raw: bytes, width: int, height: int) -> Optional[np.ndar
         return None
     t, x, y, p = np.fromstring(rows.translate(None, b"[]"), dtype=np.int64,
                                sep=",").reshape(-1, 4).T
-    outside, polarity = _field_masks(t, x, y, p, width, height)
+    outside, polarity = event_faults(t, x, y, p, width, height)
     if (outside | polarity).any():
         return None
-    return _pack(t, x, y, p)
+    return pack_events(t, x, y, p)
 
 
 class ActionService:

@@ -49,6 +49,21 @@ class TestParsing:
         assert "host:port" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--task", "avoidance", *SMALL],
+    ["record", "--task", "avoidance", *SMALL, "--out", "{tmp}/r"],
+    ["render-demo", "--task", "avoidance", *SMALL, "--out-dir", "{tmp}/d"],
+    ["serve", "--bind", "127.0.0.1:0"],
+])
+def test_corrupt_checkpoint_is_a_clean_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(np.random.default_rng(3).bytes(100))
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--checkpoint", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: bad magic" in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_zero_episodes_still_writes_checkpoint(self, tmp_path, capsys):
         argv, out, _ = train_args(tmp_path, "z", extra=["--episodes", "0"])
@@ -324,3 +339,17 @@ class TestConfigFile:
             main(["record", "--task", "avoidance",
                   "--config", str(tmp_path / "none.json"), "--out", "x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("episodes", 1.5), ("max_steps", 2.5), ("no_scenery", "no"), ("loss", "l1")])
+    def test_config_value_gets_its_flags_checks(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        if key == "loss":
+            argv = train_args(tmp_path, "c")[0]
+        else:
+            argv = ["record", "--task", "avoidance", *SMALL, "--out", str(tmp_path / "c")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"--config: {key}" in capsys.readouterr().err

@@ -110,6 +110,22 @@ class TestEvt1:
         with pytest.raises(ValueError):
             write_events(tmp_path / "x.evt1", ev, 32, 24)
 
+    def test_zero_polarity_write_rejected(self, tmp_path):
+        # the reader refuses p = 0 (record 1 at offset 34), so the writer must
+        path = tmp_path / "x.evt1"
+        with pytest.raises(ValueError, match="event 1: polarity"):
+            write_events(path, events_array([(1, 0, 0, 1), (2, 0, 0, 0)]), 32, 24)
+        assert not path.exists()
+
+    def test_pad_bytes_written_as_zero(self, rng, tmp_path):
+        ev = random_stream(rng, 50, 32, 24)
+        ev.view(np.uint8).reshape(-1, 16)[:, 13:] = 0xFF
+        path = tmp_path / "x.evt1"
+        write_events(path, ev, 32, 24)
+        records = np.frombuffer(path.read_bytes()[18:], dtype=np.uint8).reshape(-1, 16)
+        assert not records[:, 13:].any()
+        assert np.array_equal(read_events(path)[0], ev)  # fields compare, pads do not
+
     def test_truncated_body_reports_offset(self, rng, tmp_path):
         path = tmp_path / "s.evt1"
         write_events(path, random_stream(rng, 10, 32, 24), 32, 24)
@@ -176,6 +192,20 @@ class TestCsv:
         path.write_text("1,0,0,2\n")
         with pytest.raises(FormatError, match="polarity"):
             read_events_csv(path)
+
+    def test_zero_polarity_write_rejected(self, tmp_path):
+        # the reader refuses p = 0 (line 2), so the writer must
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="event 1: polarity"):
+            write_events_csv(path, events_array([(1, 0, 0, 1), (2, 0, 0, 0)]))
+        assert not path.exists()
+
+    def test_out_of_range_field_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for line in ("-1,0,0,1", f"{2 ** 64},0,0,1", "1,65536,0,1", "1,0,-1,1"):
+            path.write_text(f"\n{line}\n")
+            with pytest.raises(FormatError, match="line 2: field out of range"):
+                read_events_csv(path)
 
     def test_descending_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -101,6 +101,10 @@ class TestAccumulateEvents:
         with pytest.raises(ValueError):
             accumulate_events(events_array([(1, 9, 0, 1)]), 0, 10, 8, 8)
 
+    def test_bad_polarity_raises(self):
+        with pytest.raises(ValueError, match="event 0"):
+            accumulate_events(events_array([(1, 1, 1, 5)]), 0, 10, 4, 4)
+
     def test_bad_window_raises(self):
         with pytest.raises(ValueError):
             accumulate_events(events_array([]), 10, 10, 4, 4)
