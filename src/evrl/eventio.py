@@ -1,4 +1,4 @@
-"""File formats: EVT1 event streams, CSV interchange, checkpoints, PGM dumps.
+"""File formats: EVT1 event streams, CSV interchange, checkpoints, PGM frames.
 
 All formats are little-endian and fully specified here; round-trips are
 bit-exact. Parsers fail loudly with the byte offset (binary) or line
@@ -12,12 +12,15 @@ EVT1 layout:
 Checkpoint layout ("EVRL"):
     magic | version u16 | ten u16 config fields (height, width,
     action_count, conv channels, kernel, strides, padding, fc width) |
-    bn_eps f64 | bn_momentum f64 | step counter u64 | parameter arrays
-    as raw float32 in declaration order.
+    bn_eps f64 | bn_momentum f64 | step counter u64 | body: the network's
+    flat parameter buffer (every array of qnet.PARAM_FIELDS, in that
+    order) as raw float32. Reading refuses non-finite values and negative
+    bn running variances.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Optional, Tuple
 
@@ -134,14 +137,13 @@ def _config_words(cfg: NetworkConfig) -> Tuple[int, ...]:
 
 
 def save_checkpoint(path, params: QNetworkParams, step: int = 0):
-    """Config header + float32 arrays in declaration order."""
+    """Config header + the flat parameter buffer as float32."""
     cfg = params.cfg
     with open(path, "wb") as fh:
         fh.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                    *_config_words(cfg), cfg.bn_eps,
                                    cfg.bn_momentum, step))
-        for _, arr in params.arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(params.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path, expect: Optional[NetworkConfig] = None):
@@ -170,17 +172,22 @@ def load_checkpoint(path, expect: Optional[NetworkConfig] = None):
             f"checkpoint config {cfg} does not match expected {expect}"
         )
     offset = _CKPT_HEADER.size
-    arrays = {}
     for name, shape in param_shapes(cfg).items():
-        nbytes = int(np.prod(shape)) * 4
+        nbytes = math.prod(shape) * 4
         if offset + nbytes > len(data):
             raise FormatError(f"truncated array {name!r} at offset {offset}")
-        arrays[name] = np.frombuffer(data, dtype="<f4", count=int(np.prod(shape)),
-                                     offset=offset).reshape(shape).copy()
         offset += nbytes
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes at offset {offset}")
-    return QNetworkParams(cfg=cfg, **arrays), step
+    flat = np.frombuffer(data, dtype="<f4", offset=_CKPT_HEADER.size).copy()
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise FormatError(f"non-finite value at offset {_CKPT_HEADER.size + 4 * bad[0]}")
+    params = QNetworkParams(cfg, flat)
+    for name in ("bn1_var", "bn2_var"):
+        if (getattr(params, name) < 0).any():
+            raise FormatError(f"negative running variance in {name!r}")
+    return params, step
 
 
 def write_frame_pgm(frame: np.ndarray, path):
@@ -192,15 +199,6 @@ def write_frame_pgm(frame: np.ndarray, path):
         raise ValueError("frame values must be in {-1, 0, +1}")
     lut = np.array([128, 255, 0], dtype=np.uint8)  # index by value mod 3
     pixels = lut[np.mod(frame.astype(np.int64), 3)]
-    _write_pgm(pixels, path)
-
-
-def write_intensity_pgm(intensity: np.ndarray, path):
-    """Linear intensity in [0, 1] quantized to 8 bits (for render demos)."""
-    img = np.asarray(intensity, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-d image, got shape {img.shape}")
-    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     _write_pgm(pixels, path)
 
 

@@ -14,18 +14,25 @@ Batch normalization uses batch statistics in train mode (updating the
 running estimates as a side effect) and running statistics in eval mode,
 so single-frame action selection is deterministic. Any non-finite value
 appearing in an activation or gradient raises FloatingPointError.
+
+A network's arrays live in one flat buffer in PARAM_FIELDS order (the
+checkpoint body). Gradients and the Adam moments share that layout, so
+an optimizer step and a target sync are whole-buffer operations.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
 HUBER_DELTA = 1.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 0.01
 
 
 def conv_out_len(n: int, kernel: int, stride: int, padding: int) -> int:
@@ -46,8 +53,14 @@ class NetworkConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.action_count < 1:
-            raise ValueError("height, width and action_count must be >= 1")
+        if min(self.height, self.width, self.action_count, self.kernel, *self.strides,
+               *self.conv_channels, self.fc_width) < 1 or self.padding < 0:
+            raise ValueError("height, width, action_count, kernel, strides, conv_channels "
+                             "and fc_width must be >= 1, and padding >= 0")
+        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0
+                and 0.0 <= self.bn_momentum <= 1.0):
+            raise ValueError(f"bn_eps must be finite and > 0 and bn_momentum in [0, 1], "
+                             f"got {self.bn_eps} and {self.bn_momentum}")
         h1, w1 = self.conv1_out
         h2, w2 = self.conv2_out
         if min(h1, w1, h2, w2) < 1:
@@ -73,42 +86,6 @@ class NetworkConfig:
         return self.conv_channels[1] * h2 * w2
 
 
-@dataclass
-class QNetworkParams:
-    """All weights and batchnorm statistics, as plain numpy arrays."""
-
-    cfg: NetworkConfig
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    bn1_gamma: np.ndarray
-    bn1_beta: np.ndarray
-    bn1_mean: np.ndarray
-    bn1_var: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    bn2_gamma: np.ndarray
-    bn2_beta: np.ndarray
-    bn2_mean: np.ndarray
-    bn2_var: np.ndarray
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-
-    def arrays(self):
-        """(name, array) pairs in declaration order."""
-        for name in PARAM_FIELDS:
-            yield name, getattr(self, name)
-
-
-# Parameter arrays in declaration (= serialization) order.
-PARAM_FIELDS = tuple(f.name for f in fields(QNetworkParams) if f.name != "cfg")
-# Fields updated by the optimizer; bn running statistics are excluded
-# (they are updated by train-mode forward passes, not by gradients).
-TRAINABLE_FIELDS = tuple(f for f in PARAM_FIELDS if f not in
-                         ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var"))
-
-
 def param_shapes(cfg: NetworkConfig) -> Dict[str, Tuple[int, ...]]:
     """The shape of each parameter array, in PARAM_FIELDS order."""
     c1, c2 = cfg.conv_channels
@@ -123,28 +100,63 @@ def param_shapes(cfg: NetworkConfig) -> Dict[str, Tuple[int, ...]]:
     }
 
 
+# Parameter arrays in serialization order (the same for every config).
+PARAM_FIELDS = tuple(param_shapes(NetworkConfig(height=1, width=1, action_count=1)))
+# Fields updated by the optimizer; bn running statistics are excluded
+# (they are updated by train-mode forward passes, not by gradients).
+TRAINABLE_FIELDS = tuple(f for f in PARAM_FIELDS if f not in
+                         ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var"))
+
+
+def param_count(cfg: NetworkConfig) -> int:
+    """Length of the flat buffer that holds every parameter array."""
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+
+
+class QNetworkParams:
+    """All weights and batchnorm statistics of one network.
+
+    flat holds every array, concatenated in PARAM_FIELDS order; each named
+    field (conv1_w, ..., fc2_b) is a view into it, so writing into a field
+    (params.fc1_b[:] = b) writes flat, while rebinding the attribute would
+    detach it. Gradients use the same type and layout.
+    """
+
+    def __init__(self, cfg: NetworkConfig, flat: np.ndarray):
+        if flat.shape != (param_count(cfg),):
+            raise ValueError(f"expected {param_count(cfg)} values, got shape {flat.shape}")
+        self.cfg, self.flat = cfg, flat
+        offset = 0
+        for name, shape in param_shapes(cfg).items():
+            size = math.prod(shape)
+            setattr(self, name, flat[offset:offset + size].reshape(shape))
+            offset += size
+
+    def arrays(self):
+        """(name, array) pairs in declaration order."""
+        for name in PARAM_FIELDS:
+            yield name, getattr(self, name)
+
+
 def init_params(cfg: NetworkConfig, rng: np.random.Generator, dtype=np.float32) -> QNetworkParams:
     """Uniform(+-sqrt(1/fan_in)) weights, zero biases, identity batchnorm.
 
     A weight's fan-in is the product of its trailing dimensions. Weights
     are drawn from rng in PARAM_FIELDS order.
     """
-    arrays = {}
-    for name, shape in param_shapes(cfg).items():
+    params = QNetworkParams(cfg, np.zeros(param_count(cfg), dtype=dtype))
+    for name, arr in params.arrays():
         if name.endswith("_w"):
-            bound = math.sqrt(1.0 / math.prod(shape[1:]))
-            arrays[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+            bound = math.sqrt(1.0 / math.prod(arr.shape[1:]))
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
         elif name.endswith(("_gamma", "_var")):
-            arrays[name] = np.ones(shape, dtype=dtype)
-        else:
-            arrays[name] = np.zeros(shape, dtype=dtype)
-    return QNetworkParams(cfg=cfg, **arrays)
+            arr[...] = 1.0
+    return params
 
 
 def copy_params(src: QNetworkParams) -> QNetworkParams:
     """Deep, independent copy (used for the target network)."""
-    kwargs = {name: arr.copy() for name, arr in src.arrays()}
-    return QNetworkParams(cfg=src.cfg, **kwargs)
+    return QNetworkParams(src.cfg, src.flat.copy())
 
 
 def _check_finite(name: str, arr: np.ndarray):
@@ -301,8 +313,8 @@ def backward(params: QNetworkParams, batch, actions, targets,
 
     Runs a train-mode forward internally (updating bn running statistics),
     then backpropagates d/dparam of mean_i loss(Q(s_i, a_i) - y_i).
-    Returns (grads, loss) where grads maps each trainable field name to an
-    array shaped like the parameter.
+    Returns (grads, loss) where grads is a QNetworkParams laid out like
+    params, zero at the bn running statistics.
     """
     if loss_kind not in ("huber", "squared"):
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
@@ -331,67 +343,56 @@ def backward(params: QNetworkParams, batch, actions, targets,
     dq = np.zeros_like(q)
     dq[rows, actions] = dresid / bsz
 
-    grads: Dict[str, np.ndarray] = {}
-    grads["fc2_w"] = dq.T @ a3
-    grads["fc2_b"] = dq.sum(axis=0)
+    grads = QNetworkParams(cfg, np.zeros_like(params.flat))
+    grads.fc2_w[:] = dq.T @ a3
+    grads.fc2_b[:] = dq.sum(axis=0)
     da3 = dq @ params.fc2_w
     dz3 = da3 * (z3 > 0)
-    grads["fc1_w"] = dz3.T @ flat
-    grads["fc1_b"] = dz3.sum(axis=0)
+    grads.fc1_w[:] = dz3.T @ flat
+    grads.fc1_b[:] = dz3.sum(axis=0)
     dflat = dz3 @ params.fc1_w
     da2 = dflat.reshape(a2.shape)
 
     db2 = da2 * (b2 > 0)
-    dz2, grads["bn2_gamma"], grads["bn2_beta"] = _bn_backward(db2, xhat2, inv2, params.bn2_gamma)
-    da1, grads["conv2_w"], grads["conv2_b"] = _conv_backward(
+    dz2, grads.bn2_gamma[:], grads.bn2_beta[:] = _bn_backward(db2, xhat2, inv2, params.bn2_gamma)
+    da1, grads.conv2_w[:], grads.conv2_b[:] = _conv_backward(
         dz2, *conv2_cache, params.conv2_w, cfg.strides[1], cfg.padding, a1.shape[2:])
 
     db1 = da1 * (b1 > 0)
-    dz1, grads["bn1_gamma"], grads["bn1_beta"] = _bn_backward(db1, xhat1, inv1, params.bn1_gamma)
-    _, grads["conv1_w"], grads["conv1_b"] = _conv_backward(
+    dz1, grads.bn1_gamma[:], grads.bn1_beta[:] = _bn_backward(db1, xhat1, inv1, params.bn1_gamma)
+    _, grads.conv1_w[:], grads.conv1_b[:] = _conv_backward(
         dz1, *conv1_cache, params.conv1_w, cfg.strides[0], cfg.padding, x0.shape[2:],
         need_dx=False)
 
-    for name, g in grads.items():
-        _check_finite(f"grad[{name}]", g)
+    _check_finite("gradients", grads.flat)
     return grads, float(loss)
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First and second moment estimates, laid out like the parameters'
+    flat buffer, plus the step counter and the learning rate. The betas
+    and eps are the module constants ADAM_BETA1, ADAM_BETA2, ADAM_EPS."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 0.01
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    m: Dict[str, np.ndarray] = field(default_factory=dict)
-    v: Dict[str, np.ndarray] = field(default_factory=dict)
+    lr: float = 1e-3
 
 
-def init_adam(params: QNetworkParams, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 0.01) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name in TRAINABLE_FIELDS:
-        arr = getattr(params, name)
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
+def init_adam(params: QNetworkParams, lr: float = 1e-3) -> AdamState:
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
-def adam_step(params: QNetworkParams, grads: Dict[str, np.ndarray], state: AdamState):
-    """Bias-corrected Adam update, applied to the parameters in place."""
+def adam_step(params: QNetworkParams, grads: QNetworkParams, state: AdamState):
+    """Bias-corrected Adam update, applied to the parameters in place. Where
+    the gradient is zero (bn running statistics) the update is exactly +0.0."""
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    for name in TRAINABLE_FIELDS:
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        arr = getattr(params, name)
-        arr -= (state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(arr.dtype)
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    g, m, v = grads.flat, state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    params.flat -= (state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(params.flat.dtype)

@@ -30,8 +30,9 @@ in t within a message. A malformed line, or one longer than 16 MiB (newline
 included), draws an error and closes the connection. A message is sorted,
 so its events older than the open window form its head: they are all
 dropped with one error reply, the rest of the message is served, and the
-session stays up. A session that fails in any other way is closed, and
-the server goes on accepting connections.
+session stays up. A forward pass that overflows (FloatingPointError) draws
+an error and closes the connection. A session that fails in any other way
+is closed, and the server goes on accepting connections.
 """
 
 from __future__ import annotations
@@ -110,10 +111,6 @@ class WindowBucketer:
     @property
     def window_start(self) -> Optional[int]:
         return None if self.t0 is None else self.bounds(self.step)[0]
-
-    @property
-    def window_end(self) -> Optional[int]:
-        return None if self.t0 is None else self.bounds(self.step)[1]
 
     def add(self, events: np.ndarray) -> List[Window]:
         """Add one EVENT_DTYPE batch sorted by t; returns the windows it closed.
@@ -354,6 +351,9 @@ class ActionService:
                 send({"type": "error", "message": str(exc)})  # session survives
             except (ValueError, KeyError, TypeError) as exc:
                 send({"type": "error", "message": f"malformed message: {exc}"})
+                break
+            except FloatingPointError as exc:  # finite weights can still overflow
+                send({"type": "error", "message": f"inference failed: {exc}"})
                 break
         reader.close()
 

@@ -12,6 +12,7 @@ one SeedSequence.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -75,9 +76,6 @@ class TrainerConfig:
     warmup_steps: int = 1000
     replay_capacity: int = 10 ** 6
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 0.01
     loss_kind: str = "huber"
     eval_every: int = 25
     eval_episodes: int = 10
@@ -92,6 +90,8 @@ class TrainerConfig:
             raise ValueError(f"episodes must be >= 0, got {self.episodes}")
         if self.target_update_interval < 1:
             raise ValueError("target_update_interval must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -214,8 +214,7 @@ def train(env, trainer_config: TrainerConfig, network_config: NetworkConfig,
     if params is None:
         params = qnet.init_params(network_config, np.random.default_rng(init_seq))
     target = qnet.copy_params(params)
-    adam = qnet.init_adam(params, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
-                          beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+    adam = qnet.init_adam(params, lr=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.replay_capacity)
     action_rng = np.random.default_rng(action_seq)
     buffer_rng = np.random.default_rng(buffer_seq)

@@ -120,7 +120,7 @@ def test_criterion_04_finite_difference_gradient_check():
     for name in TRAINABLE_FIELDS:
         arr = getattr(params, name)
         flat = arr.ravel()
-        an = grads[name].ravel()
+        an = getattr(grads, name).ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h

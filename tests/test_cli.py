@@ -64,6 +64,27 @@ def test_corrupt_checkpoint_is_a_clean_error(tmp_path, capsys, argv):
     assert "error: bad magic" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--stride1", "--stride2"])
+def test_zero_stride_is_a_clean_error(tmp_path, capsys, flag):
+    argv, out, _ = train_args(tmp_path, "s0", [flag, "0"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "strides" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_stride_checkpoint_header_is_a_clean_error(tmp_path, capsys):
+    argv, out, _ = train_args(tmp_path, "hdr", ["--episodes", "0"])
+    assert main(argv) == 0
+    raw = bytearray(out.read_bytes())
+    raw[18:20] = b"\x00\x00"  # stride1, the seventh u16 config word
+    out.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", "--task", "avoidance", *SMALL, "--checkpoint", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: invalid embedded config" in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_zero_episodes_still_writes_checkpoint(self, tmp_path, capsys):
         argv, out, _ = train_args(tmp_path, "z", extra=["--episodes", "0"])

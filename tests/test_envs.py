@@ -136,8 +136,9 @@ class TestEpisodeProtocol:
         assert seen
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EnvConfig(dt=0.0)
+        for dt in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt"):
+                EnvConfig(dt=dt)
         with pytest.raises(ValueError):
             EnvConfig(max_steps=0)
         with pytest.raises(ValueError):

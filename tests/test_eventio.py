@@ -7,10 +7,11 @@ import pytest
 
 from evrl.eventio import (FormatError, load_checkpoint, read_events,
                           read_events_csv, save_checkpoint, write_events,
-                          write_events_csv, write_frame_pgm,
-                          write_intensity_pgm)
+                          write_events_csv, write_frame_pgm)
 from evrl.events import EVENT_DTYPE, events_array
-from evrl.qnet import NetworkConfig, forward, init_params
+from evrl.qnet import PARAM_FIELDS, NetworkConfig, forward, init_params
+
+CKPT_HEADER_SIZE = struct.calcsize("<4sH10HddQ")
 
 
 def random_stream(rng, count, width, height, t_span=10 ** 7):
@@ -287,6 +288,54 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_body_is_the_flat_buffer(self, rng, tmp_path, dtype):
+        params = init_params(NetworkConfig(height=24, width=32, action_count=3), rng, dtype)
+        params.bn2_var *= 1.5
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, params, step=9)
+        assert path.read_bytes()[CKPT_HEADER_SIZE:] == params.flat.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (12, "<H", 0), (14, "<H", 0), (16, "<H", 0), (18, "<H", 0), (20, "<H", 0),
+        (24, "<H", 0), (26, "<d", 0.0), (26, "<d", float("nan")),
+        (34, "<d", 2.0), (34, "<d", float("nan")),
+    ], ids=["conv1-channels", "conv2-channels", "kernel", "stride1", "stride2",
+            "fc-width", "bn-eps-0", "bn-eps-nan", "bn-momentum-2", "bn-momentum-nan"])
+    def test_degenerate_header_is_an_invalid_config(self, rng, tmp_path, offset, fmt, value):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, init_params(NetworkConfig(height=24, width=32,
+                                                        action_count=2), rng), step=0)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="invalid embedded config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["conv1_w", "bn1_mean", "fc2_b"])
+    def test_non_finite_values_rejected(self, rng, tmp_path, field, value):
+        params = init_params(NetworkConfig(height=24, width=32, action_count=2), rng)
+        getattr(params, field).flat[-1] = value
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, params, step=0)
+        end = dict(zip(PARAM_FIELDS, np.cumsum([a.size for _, a in params.arrays()])))
+        offset = CKPT_HEADER_SIZE + 4 * (end[field] - 1)
+        with pytest.raises(FormatError, match=f"non-finite value at offset {offset}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["bn1_var", "bn2_var"])
+    def test_negative_running_variance_rejected(self, rng, tmp_path, field):
+        params = init_params(NetworkConfig(height=24, width=32, action_count=2), rng)
+        getattr(params, field)[-1] = -0.5
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, params, step=0)
+        with pytest.raises(FormatError, match=f"negative running variance in '{field}'"):
+            load_checkpoint(path)
+        getattr(params, field)[-1] = 0.0  # a zero variance is still valid
+        save_checkpoint(path, params, step=0)
+        load_checkpoint(path)
+
     def test_save_is_deterministic(self, rng, tmp_path):
         cfg = NetworkConfig(height=24, width=32, action_count=2)
         params = init_params(cfg, rng)
@@ -330,18 +379,3 @@ class TestPgm:
             write_frame_pgm(np.full((2, 2), 3, dtype=np.int8), tmp_path / "x.pgm")
         with pytest.raises(ValueError):
             write_frame_pgm(np.zeros((2, 2, 2), dtype=np.int8), tmp_path / "x.pgm")
-
-    def test_intensity_rounding(self, tmp_path):
-        img = np.array([[0.0, 0.5, 1.0], [0.8, 0.4, 0.1]])
-        path = tmp_path / "i.pgm"
-        write_intensity_pgm(img, path)
-        got = parse_pgm(path)
-        want = np.rint(img * 255).astype(np.uint8)
-        assert np.array_equal(got, want)
-
-    def test_intensity_clipped(self, tmp_path):
-        img = np.array([[-0.2, 1.4]])
-        path = tmp_path / "c.pgm"
-        write_intensity_pgm(img, path)
-        got = parse_pgm(path)
-        assert got[0, 0] == 0 and got[0, 1] == 255

@@ -7,8 +7,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import evrl.qnet as qnet
-from evrl.qnet import (NetworkConfig, TRAINABLE_FIELDS, adam_step, backward,
-                       copy_params, forward, init_adam, init_params)
+from evrl.qnet import (PARAM_FIELDS, NetworkConfig, QNetworkParams, TRAINABLE_FIELDS,
+                       adam_step, backward, copy_params, forward, init_adam, init_params)
 
 
 def naive_conv(x, w, bias, stride, pad):
@@ -213,9 +213,9 @@ def finite_difference_check(cfg, residual_shift, rng, h=1e-5, tol=1e-3):
             _, loss_minus = backward(params, x, actions, targets)
             flat[i] = orig
             fd_flat[i] = (loss_plus - loss_minus) / (2.0 * h)
-        significant = (np.abs(grads[name]) > 1e-8) | (np.abs(fd) > 1e-8)
+        significant = (np.abs(getattr(grads, name)) > 1e-8) | (np.abs(fd) > 1e-8)
         if significant.any():
-            err = relative_errors(grads[name][significant], fd[significant])
+            err = relative_errors(getattr(grads, name)[significant], fd[significant])
             worst = max(worst, float(err.max()))
             assert (err <= tol).all(), f"{name}: max rel err {err.max():.2e}"
     return worst
@@ -231,7 +231,7 @@ class TestBackward:
         grads, loss = backward(params, x, actions, targets)
         assert loss == 0.0
         for name in TRAINABLE_FIELDS:
-            assert not grads[name].any(), name
+            assert not getattr(grads, name).any(), name
 
     def test_gradients_match_fd_interior(self, rng):
         cfg = NetworkConfig(height=10, width=8, action_count=2, fc_width=6)
@@ -252,7 +252,7 @@ class TestBackward:
         sq_grads, sq_loss = backward(params, x, actions, targets, "squared")
         assert huber_loss == sq_loss
         for name in TRAINABLE_FIELDS:
-            assert np.array_equal(huber_grads[name], sq_grads[name]), name
+            assert np.array_equal(getattr(huber_grads, name), getattr(sq_grads, name)), name
 
     def test_action_out_of_range(self, rng):
         params = init_params(SMALL, rng)
@@ -297,8 +297,8 @@ class TestConvEquivalence:
         assert np.array_equal(q, ref_q)
         assert loss == ref_loss
         for name in TRAINABLE_FIELDS:
-            assert grads[name].dtype == ref_grads[name].dtype, name
-            assert np.array_equal(grads[name], ref_grads[name]), name
+            assert getattr(grads, name).dtype == getattr(ref_grads, name).dtype, name
+            assert np.array_equal(getattr(grads, name), getattr(ref_grads, name)), name
         for name, arr in params.arrays():
             assert np.array_equal(arr, getattr(ref_params, name)), name
 
@@ -308,7 +308,7 @@ class TestAdam:
         params = init_params(SMALL, rng)
         state = init_adam(params, lr=0.1)
         before = {n: a.copy() for n, a in params.arrays()}
-        zero = {n: np.zeros_like(getattr(params, n)) for n in TRAINABLE_FIELDS}
+        zero = QNetworkParams(params.cfg, np.zeros_like(params.flat))
         adam_step(params, zero, state)
         assert state.t == 1
         for name, arr in params.arrays():
@@ -317,9 +317,10 @@ class TestAdam:
     def test_hand_worked_scalar_step(self, rng):
         # w=0, g=1, lr=0.1 -> m_hat=1, v_hat=1, w' = -0.1/(1+0.01)
         params = init_params(SMALL, rng)
-        state = init_adam(params, lr=0.1, eps=0.01)
-        grads = {n: np.zeros_like(getattr(params, n)) for n in TRAINABLE_FIELDS}
-        grads["conv1_b"][0] = 1.0
+        assert qnet.ADAM_EPS == 0.01
+        state = init_adam(params, lr=0.1)
+        grads = QNetworkParams(params.cfg, np.zeros_like(params.flat))
+        grads.conv1_b[0] = 1.0
         adam_step(params, grads, state)
         assert abs(float(params.conv1_b[0]) - (-0.1 / 1.01)) < 1e-7
 
@@ -330,12 +331,68 @@ class TestAdam:
             state = init_adam(params)
             g_rng = np.random.default_rng(7)
             for _ in range(3):
-                grads = {n: g_rng.normal(0, 0.1, getattr(params, n).shape)
-                         .astype(np.float32) for n in TRAINABLE_FIELDS}
+                grads = QNetworkParams(params.cfg, np.zeros_like(params.flat))
+                for n in TRAINABLE_FIELDS:
+                    getattr(grads, n)[...] = g_rng.normal(0, 0.1, getattr(grads, n).shape)
                 adam_step(params, grads, state)
             results.append({n: a.copy() for n, a in params.arrays()})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name]), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lr", [1e-3, 0.05])
+    def test_flat_step_matches_frozen_per_field_loop(self, dtype, lr):
+        cfg = NetworkConfig(height=48, width=64, action_count=3)
+        rng = np.random.default_rng(21)
+        params = init_params(cfg, rng, dtype=dtype)
+        params.bn1_mean += rng.normal(0, 0.3, params.bn1_mean.shape)
+        params.bn2_mean[:] = rng.normal(0, 0.3, params.bn2_mean.shape)
+        params.bn2_mean[0] = -0.0  # a signed zero must survive the +0.0 update
+        params.bn1_var *= rng.uniform(0.2, 3.0, params.bn1_var.shape)
+        params.bn2_var *= rng.uniform(0.2, 3.0, params.bn2_var.shape)
+        running = {n: getattr(params, n).tobytes() for n in PARAM_FIELDS
+                   if n not in TRAINABLE_FIELDS}
+        ref = {n: a.copy() for n, a in params.arrays()}
+        ref_state = frozen_init_adam(ref)
+        state = init_adam(params, lr=lr)
+        for _ in range(12):
+            grads = QNetworkParams(cfg, np.zeros_like(params.flat))
+            for n in TRAINABLE_FIELDS:
+                g = getattr(grads, n)
+                g[...] = rng.normal(0, rng.choice([1e-4, 0.1, 3.0]), g.shape)
+                g[rng.random(g.shape) < 0.2] = 0.0
+            frozen_adam_step(ref, {n: getattr(grads, n) for n in TRAINABLE_FIELDS},
+                             ref_state, lr)
+            adam_step(params, grads, state)
+        assert state.t == ref_state["t"] == 12
+        for name, arr in params.arrays():
+            assert arr.tobytes() == ref[name].tobytes(), name
+        for name, blob in running.items():
+            assert getattr(params, name).tobytes() == blob, name
+
+
+def frozen_init_adam(params):
+    """The per-field Adam state that preceded the flat buffer."""
+    return {"t": 0, "m": {n: np.zeros_like(params[n]) for n in TRAINABLE_FIELDS},
+            "v": {n: np.zeros_like(params[n]) for n in TRAINABLE_FIELDS}}
+
+
+def frozen_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=0.01):
+    """The per-field Adam loop that preceded the flat buffer, kept as the
+    reference the whole-buffer adam_step must reproduce bit for bit."""
+    state["t"] += 1
+    c1 = 1.0 - beta1 ** state["t"]
+    c2 = 1.0 - beta2 ** state["t"]
+    for name in TRAINABLE_FIELDS:
+        g = grads[name]
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        arr = params[name]
+        arr -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(arr.dtype)
 
 
 def frozen_init_params(cfg, rng, dtype):
@@ -404,6 +461,43 @@ class TestCopyParams:
         assert blob_src == blob_dup
 
 
+class TestFlatLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_field_is_a_view_of_flat(self, rng, dtype):
+        params = init_params(SMALL, rng, dtype=dtype)
+        dup = copy_params(params)
+        assert params.flat.shape == (qnet.param_count(SMALL),)
+        assert np.array_equal(
+            np.concatenate([arr.ravel() for _, arr in params.arrays()]), params.flat)
+        for name, arr in params.arrays():
+            assert arr.shape == qnet.param_shapes(SMALL)[name], name
+            assert np.shares_memory(arr, params.flat), name
+            assert not np.shares_memory(getattr(dup, name), params.flat), name
+            assert np.shares_memory(getattr(dup, name), dup.flat), name
+        assert not np.shares_memory(dup.flat, params.flat)
+        params.fc1_b[:] = 5.0  # every init value lies in [-1, 1]
+        assert np.count_nonzero(params.flat == 5.0) == params.fc1_b.size
+        assert not (dup.flat == 5.0).any()
+
+    def test_gradients_share_the_layout(self, rng):
+        params = init_params(SMALL, rng)
+        x = ternary(rng, (4, 1, 8, 8))
+        grads, _ = backward(params, x, rng.integers(0, 3, size=4), rng.normal(size=4))
+        assert isinstance(grads, QNetworkParams)
+        assert grads.flat.shape == params.flat.shape
+        assert grads.flat.dtype == params.flat.dtype
+        assert not np.shares_memory(grads.flat, params.flat)
+        for name in PARAM_FIELDS:
+            if name not in TRAINABLE_FIELDS:
+                assert not getattr(grads, name).any(), name
+
+    def test_buffer_length_checked(self):
+        with pytest.raises(ValueError, match="values"):
+            QNetworkParams(SMALL, np.zeros(qnet.param_count(SMALL) + 1, dtype=np.float32))
+        with pytest.raises(ValueError, match="values"):
+            QNetworkParams(SMALL, np.zeros((1, qnet.param_count(SMALL)), dtype=np.float32))
+
+
 class TestConfig:
     def test_gradcheck_network_shapes(self):
         assert GRADCHECK.conv1_out == (4, 3)
@@ -415,3 +509,19 @@ class TestConfig:
             NetworkConfig(height=2, width=2, action_count=2, kernel=5)
         with pytest.raises(ValueError):
             NetworkConfig(height=8, width=8, action_count=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"kernel": 0}, {"strides": (0, 4)}, {"strides": (4, 0)},
+        {"conv_channels": (0, 4)}, {"conv_channels": (2, 0)}, {"fc_width": 0},
+        {"padding": -1}, {"bn_eps": 0.0}, {"bn_eps": -1e-5}, {"bn_eps": math.nan},
+        {"bn_eps": math.inf}, {"bn_momentum": -0.1}, {"bn_momentum": 1.5},
+        {"bn_momentum": math.nan},
+    ], ids=repr)
+    def test_degenerate_layer_settings_rejected(self, bad):
+        with pytest.raises(ValueError):
+            NetworkConfig(height=48, width=64, action_count=2, **bad)
+
+    def test_boundary_layer_settings_accepted(self):
+        NetworkConfig(height=8, width=8, action_count=1, conv_channels=(1, 1), kernel=1,
+                      strides=(1, 1), padding=0, fc_width=1, bn_momentum=0.0)
+        NetworkConfig(height=8, width=8, action_count=1, bn_momentum=1.0)

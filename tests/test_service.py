@@ -11,7 +11,8 @@ import pytest
 
 from evrl import service as service_mod
 from evrl.events import accumulate_events, events_array
-from evrl.qnet import NetworkConfig, forward, init_params
+from evrl.eventio import FormatError, save_checkpoint
+from evrl.qnet import NetworkConfig, copy_params, forward, init_params
 from evrl.service import (ActionService, LateEventError, WindowBucketer,
                           infer_action, offline_actions)
 
@@ -40,7 +41,8 @@ class TestWindowBucketer:
         closed = b.add(one(500, 1, 2, 1))
         assert closed == []
         assert b.t0 == 500
-        assert (b.window_start, b.window_end) == (500, 10_500)
+        assert b.window_start == 500
+        assert b.bounds(b.step) == (500, 10_500)
 
     def test_event_at_window_end_closes_it(self):
         b = WindowBucketer(DT)
@@ -450,6 +452,56 @@ class TestActionService:
         ev = random_stream(rng)
         want = offline_actions(ev, DT, params)
         assert replay(svc.address, ev, len(want)) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_forward_draws_an_error(self, service, rng, monkeypatch):
+        svc, params = service
+        real = service_mod.qnet.forward
+
+        def overflow(params, batch, mode="eval"):  # finite weights, huge values
+            huge = copy_params(params)
+            huge.fc1_b[...] = 1.0  # every fc1 unit active, so fc2 sums overflow
+            huge.fc2_w[...] = 3e38
+            return real(huge, batch, mode)
+
+        monkeypatch.setattr(service_mod.qnet, "forward", overflow)
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": [[0, 1, 1, 1]]})
+            c.send({"type": "flush"})
+            reply = c.recv()
+            assert reply["type"] == "error"
+            assert "non-finite values in q_values" in reply["message"]
+            assert c.recv() is None
+        finally:
+            c.close()
+        monkeypatch.setattr(service_mod.qnet, "forward", real)
+        ev = random_stream(rng)
+        want = offline_actions(ev, DT, params)
+        assert replay(svc.address, ev, len(want)) == want
+
+    def test_unusable_checkpoint_fails_before_listening(self, tmp_path, monkeypatch):
+        params = init_params(NET, np.random.default_rng(4))
+        params.fc1_w[0, 0] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, params)
+        started = []
+
+        class NoListener:
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+
+            def serve_forever(self):
+                pass
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(service_mod, "ActionService", NoListener)
+        with pytest.raises(FormatError, match="non-finite"):
+            service_mod.serve("127.0.0.1", 0, path)
+        assert started == []
 
 
 class ReferenceBucketer:

@@ -1,6 +1,7 @@
 """Action selection, replay buffer, Double-DQN targets and the train loop."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -248,6 +249,9 @@ class TestTrain:
             TrainerConfig(episodes=-1)
         with pytest.raises(ValueError):
             TrainerConfig(target_update_interval=0)
+        for lr in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainerConfig(learning_rate=lr)
 
     def test_zero_episodes_returns_fresh_params(self):
         env = tiny_env()
