@@ -236,8 +236,10 @@ def _add_serve(sub):
 
 def cmd_serve(args) -> int:
     host, _, port_text = args.bind.rpartition(":")
-    if not host or not port_text.isdigit():
+    if not host or not (port_text.isascii() and port_text.isdigit()):
         raise SystemExit2(f"--bind expects host:port, got {args.bind!r}")
+    if int(port_text) > 65535:
+        raise SystemExit2(f"--bind port must be in 0..65535, got {port_text}")
     service_serve(host, int(port_text), args.checkpoint, log_path=args.log,
                   default_dt_us=args.dt_us)
     return 0

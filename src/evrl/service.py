@@ -14,9 +14,11 @@ The first event's timestamp anchors window 1; window n spans
 closes it (and any skipped empty windows); a flush closes the current
 window early. One action is emitted per closed window, computed by
 accumulating the window's events into a frame and taking the argmax of
-an eval-mode forward pass. Latency covers conversion plus inference on
-a monotonic clock. Replies are sent with TCP_NODELAY, so every action of
-a message that closes several windows leaves at once.
+an eval-mode forward pass. The empty windows that one message closes share
+one forward pass on the all-zero frame: the first reports its latency, the
+others latency_us 0. Latency covers conversion plus inference on a
+monotonic clock. Replies are sent with TCP_NODELAY, so every action of a
+message that closes several windows leaves at once.
 
 Each events message is parsed and checked as one array, and the same
 WindowBucketer.add that offline_actions runs cuts it into windows. An
@@ -26,13 +28,17 @@ one np.fromstring; every other line goes through json.loads, and both give
 the same array and the same replies. Hello width, height and dt_us and
 every event field must be JSON integers (not floats or booleans); events
 must pass the record rules of events.event_faults and be non-decreasing
-in t within a message. A malformed line, or one longer than 16 MiB (newline
-included), draws an error and closes the connection. A message is sorted,
+in t within a message. A malformed line, one longer than 16 MiB (newline
+included), or a message that would close more than 2**16 windows draws an
+error, before any action, and closes the connection. A message is sorted,
 so its events older than the open window form its head: they are all
 dropped with one error reply, the rest of the message is served, and the
 session stays up. A forward pass that overflows (FloatingPointError) draws
-an error and closes the connection. A session that fails in any other way
-is closed, and the server goes on accepting connections.
+an error and closes the connection. A session is closed, without a reply,
+when its client sends nothing for 60 s or a reply cannot be sent within
+60 s. A session that fails in any other way is closed, and the server
+goes on accepting connections. A default dt_us outside [1, 2**64) fails
+before the listener binds.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ import socket
 import threading
 import time
 import traceback
+from contextlib import nullcontext
 from itertools import chain
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +72,14 @@ Window = Tuple[int, np.ndarray]  # (step, that window's events)
 # a close instead of a read that waits for a newline forever.
 _MAX_LINE = 16 * 2 ** 20
 
+# Most windows one message may close, each with its own reply. 2**16 replies
+# took 0.8 s over loopback on 2 vCPUs; decoding a 16 MiB line takes 0.5 s.
+_MAX_WINDOWS = 2 ** 16
+
+# Seconds a session waits for its client's next bytes, or for a reply to
+# drain, before it is closed; the listener serves one session at a time.
+_IDLE_TIMEOUT_S = 60.0
+
 # An events line in the compact or the json.dumps default form: the head
 # up to the list's "[", rows [t,x,y,p] joined by "," or ", ", and the tail
 # after its "]". Integers are JSON integers of at most 18 digits, so int64
@@ -78,18 +93,6 @@ _EVENTS_HEAD = re.compile(_WS.join([b"", rb"\{", b'"type"', b":", b'"events"', b
 _EVENTS_TAIL = re.compile(_WS + rb"\}" + _WS)
 _INT = rb"-?(?:0|[1-9][0-9]{0,17})"
 _ROW = re.compile(rb"\[%s, ?%s, ?%s, ?%s\]" % (_INT, _INT, _INT, _INT))
-
-
-class LateEventError(ValueError):
-    """Events at the head of a batch precede the currently open window.
-
-    They were dropped; ``closed`` holds the windows that the rest of the
-    batch closed, which the caller still has to serve.
-    """
-
-    def __init__(self, message: str, closed: List[Window]):
-        super().__init__(message)
-        self.closed = closed
 
 
 class WindowBucketer:
@@ -112,17 +115,19 @@ class WindowBucketer:
     def window_start(self) -> Optional[int]:
         return None if self.t0 is None else self.bounds(self.step)[0]
 
-    def add(self, events: np.ndarray) -> List[Window]:
-        """Add one EVENT_DTYPE batch sorted by t; returns the windows it closed.
+    def add(self, events: np.ndarray) -> Tuple[List[Window], int]:
+        """Add one EVENT_DTYPE batch sorted by t; returns (windows, late).
 
-        A late head of the batch (events before the open window) is dropped
-        and reported by LateEventError, which carries the closed windows.
+        Every step before self.step is closed afterwards. windows lists the
+        non-empty windows the batch closed, in step order; a closed step
+        missing from it was empty. late counts the events at the head of
+        the batch that precede the open window; they are dropped.
         """
         t = events["t"]
         if (t[1:] < t[:-1]).any():
             raise ValueError("events must be sorted by t")
         if len(t) == 0:
-            return []
+            return [], 0
         if self.t0 is None:
             self.t0 = int(t[0])
         start = self.window_start
@@ -134,13 +139,13 @@ class WindowBucketer:
             win = (rest["t"] - np.uint64(self.t0)) // np.uint64(self.dt)
             cuts = [0, *(np.flatnonzero(win[1:] != win[:-1]) + 1).tolist(), len(rest)]
             for lo, hi in zip(cuts[:-1], cuts[1:]):
-                while self.step <= win[lo]:  # win is 0-based: close the open window
-                    closed.append(self.flush())
+                step = int(win[lo]) + 1  # win is 0-based
+                if step > self.step:  # close the open window and skip the empty ones
+                    if self.pending:
+                        closed.append(self.flush())
+                    self.step = step
                 self.pending.append(rest[lo:hi])
-        if late:
-            raise LateEventError(f"{late} event(s) from t={int(t[0])} precede the open "
-                                 f"window starting at {start}; dropped", closed)
-        return closed
+        return closed, late
 
     def flush(self) -> Optional[Window]:
         """Close the current window now; None if no event ever arrived."""
@@ -169,19 +174,37 @@ def infer_action(params: QNetworkParams, events: np.ndarray, t_start: int,
     return action, latency_us
 
 
+def _window_actions(params: QNetworkParams, bucketer: WindowBucketer, first: int,
+                    windows: List[Window]) -> Iterator[Tuple[int, int, int, int]]:
+    """(step, action, latency_us, events) for steps first .. bucketer.step - 1.
+
+    Steps missing from windows were empty. They share the action of one
+    infer_action call on no events; all but the first report latency_us 0.
+    """
+    found, empty_action = dict(windows), None
+    for step in range(first, bucketer.step):
+        events = found.get(step, _NO_EVENTS)
+        if len(events) or empty_action is None:
+            action, latency_us = infer_action(params, events, *bucketer.bounds(step))
+            empty_action = empty_action if len(events) else action
+        else:
+            action, latency_us = empty_action, 0
+        yield step, action, latency_us, len(events)
+
+
 def offline_actions(events, dt_us: int, params: QNetworkParams) -> List[int]:
     """Reference pipeline: the action sequence a service replay must match.
 
     The whole stream, sorted by t, goes through the service's own
-    WindowBucketer.add, and then a flush closes the trailing partial window.
+    WindowBucketer.add and _window_actions, and then a flush closes the
+    trailing partial window.
     """
     bucketer = WindowBucketer(dt_us)
-    windows = bucketer.add(events_array(events))
+    windows, _ = bucketer.add(events_array(events))
     final = bucketer.flush()
     if final is not None:
         windows.append(final)
-    return [infer_action(params, window, *bucketer.bounds(step))[0]
-            for step, window in windows]
+    return [action for _, action, _, _ in _window_actions(params, bucketer, 1, windows)]
 
 
 def _parse_events(events, width: int, height: int) -> np.ndarray:
@@ -253,11 +276,16 @@ class ActionService:
         self.params = params
         self.log = log
         self.default_dt_us = default_dt_us
+        WindowBucketer(default_dt_us)  # a bad default fails here, not in every hello
         self._shutdown = threading.Event()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(1)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(1)
+        except (OSError, OverflowError):
+            self._listener.close()
+            raise
         self.address = self._listener.getsockname()
 
     def shutdown(self):
@@ -284,7 +312,10 @@ class ActionService:
                     # replies go out at once: a message that closes several
                     # windows must not hold the later ones for a delayed ACK
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    conn.settimeout(_IDLE_TIMEOUT_S)
                     self._handle_session(conn)
+                except OSError:
+                    pass  # the client left, or a read or send timed out
                 except Exception:  # one broken session must not stop the listener
                     traceback.print_exc()
                 finally:
@@ -297,85 +328,81 @@ class ActionService:
 
     def _handle_session(self, conn: socket.socket):
         cfg = self.params.cfg
-        reader = conn.makefile("rb")
 
-        def send(obj: dict):
-            try:
-                conn.sendall((json.dumps(obj, separators=(",", ":")) + "\n").encode())
-            except OSError:
-                pass
+        def send(obj: dict):  # an OSError, a timeout included, ends the session
+            conn.sendall((json.dumps(obj, separators=(",", ":")) + "\n").encode())
 
         bucketer: Optional[WindowBucketer] = None
-        while True:
-            raw = reader.readline(_MAX_LINE + 1)
-            if not raw or self._shutdown.is_set():
-                break
-            try:
-                if len(raw) > _MAX_LINE:
-                    raise ValueError(f"line longer than {_MAX_LINE} bytes")
-                if bucketer is not None:  # hello checked the stream's resolution
-                    events = _decode_events_line(raw, cfg.width, cfg.height)
-                    if events is not None:
-                        self._ingest(bucketer, events, send)
-                        continue
-                msg = json.loads(raw.decode())
-                if not isinstance(msg, dict):
-                    raise ValueError("message is not an object")
-                mtype = msg.get("type")
-                if mtype == "hello":
-                    width, height = msg["width"], msg["height"]
-                    dt_us = msg.get("dt_us", self.default_dt_us)
-                    if {type(width), type(height), type(dt_us)} != {int}:
-                        raise ValueError("hello width, height and dt_us must be integers")
-                    if (width, height) != (cfg.width, cfg.height):
-                        raise ValueError(
-                            f"stream is {width}x{height}, checkpoint expects "
-                            f"{cfg.width}x{cfg.height}"
-                        )
-                    bucketer = WindowBucketer(dt_us)
-                    send({"type": "ready", "action_count": cfg.action_count})
-                elif mtype == "events":
-                    if bucketer is None:
-                        raise ValueError("events before hello")
-                    self._ingest(bucketer, _parse_events(msg["events"], cfg.width,
-                                                         cfg.height), send)
-                elif mtype == "flush":
-                    if bucketer is None:
-                        raise ValueError("flush before hello")
-                    closed = bucketer.flush()
-                    if closed is not None:
-                        self._emit(bucketer, *closed, send)
-                else:
-                    raise ValueError(f"unknown message type {mtype!r}")
-            except LateEventError as exc:
-                send({"type": "error", "message": str(exc)})  # session survives
-            except (ValueError, KeyError, TypeError) as exc:
-                send({"type": "error", "message": f"malformed message: {exc}"})
-                break
-            except FloatingPointError as exc:  # finite weights can still overflow
-                send({"type": "error", "message": f"inference failed: {exc}"})
-                break
-        reader.close()
+        with conn.makefile("rb") as reader:
+            while True:
+                raw = reader.readline(_MAX_LINE + 1)  # a TimeoutError ends the session
+                if not raw or self._shutdown.is_set():
+                    break
+                try:
+                    if len(raw) > _MAX_LINE:
+                        raise ValueError(f"line longer than {_MAX_LINE} bytes")
+                    if bucketer is not None:  # hello checked the stream's resolution
+                        events = _decode_events_line(raw, cfg.width, cfg.height)
+                        if events is not None:
+                            self._ingest(bucketer, events, send)
+                            continue
+                    msg = json.loads(raw.decode())
+                    if not isinstance(msg, dict):
+                        raise ValueError("message is not an object")
+                    mtype = msg.get("type")
+                    if mtype == "hello":
+                        width, height = msg["width"], msg["height"]
+                        dt_us = msg.get("dt_us", self.default_dt_us)
+                        if {type(width), type(height), type(dt_us)} != {int}:
+                            raise ValueError("hello width, height and dt_us must be integers")
+                        if (width, height) != (cfg.width, cfg.height):
+                            raise ValueError(
+                                f"stream is {width}x{height}, checkpoint expects "
+                                f"{cfg.width}x{cfg.height}"
+                            )
+                        bucketer = WindowBucketer(dt_us)
+                        send({"type": "ready", "action_count": cfg.action_count})
+                    elif mtype == "events":
+                        if bucketer is None:
+                            raise ValueError("events before hello")
+                        self._ingest(bucketer, _parse_events(msg["events"], cfg.width,
+                                                             cfg.height), send)
+                    elif mtype == "flush":
+                        if bucketer is None:
+                            raise ValueError("flush before hello")
+                        first = bucketer.step
+                        closed = bucketer.flush()
+                        if closed is not None:
+                            self._emit(bucketer, first, [closed], send)
+                    else:
+                        raise ValueError(f"unknown message type {mtype!r}")
+                except (ValueError, KeyError, TypeError) as exc:
+                    send({"type": "error", "message": f"malformed message: {exc}"})
+                    break
+                except FloatingPointError as exc:  # finite weights can still overflow
+                    send({"type": "error", "message": f"inference failed: {exc}"})
+                    break
 
     def _ingest(self, bucketer: WindowBucketer, events: np.ndarray, send):
-        late: Optional[LateEventError] = None
-        try:
-            closed = bucketer.add(events)
-        except LateEventError as exc:
-            late, closed = exc, exc.closed  # the late head is dropped
-        for step, window in closed:
-            self._emit(bucketer, step, window, send)
-        if late is not None:
-            raise late
+        first, start = bucketer.step, bucketer.window_start
+        windows, late = bucketer.add(events)
+        self._emit(bucketer, first, windows, send)
+        if late:  # the late head was dropped; the session stays up
+            send({"type": "error", "message": f"{late} event(s) from t={events['t'][0]} "
+                  f"precede the open window starting at {start}; dropped"})
 
-    def _emit(self, bucketer: WindowBucketer, step: int, window_events, send):
-        action, latency_us = infer_action(self.params, window_events,
-                                          *bucketer.bounds(step))
-        if self.log is not None:
-            self.log({"step": step, "action": action, "latency_us": latency_us,
-                      "events": len(window_events)})
-        send({"type": "action", "step": step, "action": action,
-              "latency_us": latency_us})
+    def _emit(self, bucketer: WindowBucketer, first: int, windows: List[Window], send):
+        """Sends the actions of steps first .. bucketer.step - 1."""
+        if bucketer.step - first > _MAX_WINDOWS:
+            raise ValueError(f"message closes {bucketer.step - first} windows, "
+                             f"more than {_MAX_WINDOWS}")
+        for step, action, latency_us, count in _window_actions(self.params, bucketer,
+                                                               first, windows):
+            if self.log is not None:
+                self.log({"step": step, "action": action, "latency_us": latency_us,
+                          "events": count})
+            send({"type": "action", "step": step, "action": action,
+                  "latency_us": latency_us})
 
 
 def serve(host: str, port: int, checkpoint_path, log_path=None,
@@ -384,20 +411,16 @@ def serve(host: str, port: int, checkpoint_path, log_path=None,
     from .eventio import load_checkpoint
 
     params, _ = load_checkpoint(checkpoint_path)
-    log_file = open(log_path, "w") if log_path else None
-
-    def log(record: dict):
-        if log_file:
-            log_file.write(json.dumps(record) + "\n")
-            log_file.flush()
-
-    service = ActionService(params, host=host, port=port, log=log,
-                            default_dt_us=default_dt_us)
+    # bind, and check the default width, before the log is opened: a failed
+    # start leaves an earlier log as it was
+    service = ActionService(params, host=host, port=port, default_dt_us=default_dt_us)
     try:
-        service.serve_forever()
+        with open(log_path, "w") if log_path else nullcontext() as log_file:
+            if log_file:
+                service.log = lambda record: print(json.dumps(record), file=log_file,
+                                                   flush=True)
+            service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         service.shutdown()
-        if log_file:
-            log_file.close()

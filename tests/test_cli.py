@@ -1,14 +1,17 @@
 """End-to-end command line behavior, in-process via main(argv)."""
 
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
 
 from evrl.cli import main, record_episode
 from evrl.envs import AvoidanceEnv, EnvConfig
-from evrl.eventio import load_checkpoint, read_events
+from evrl.eventio import load_checkpoint, read_events, save_checkpoint
 from evrl.events import EVENT_DTYPE
+from evrl.qnet import NetworkConfig, init_params
 from evrl.renderer import CameraModel
 
 SMALL = ["--width", "32", "--height", "24"]
@@ -47,6 +50,54 @@ class TestParsing:
         assert main(["serve", "--bind", "localhost", "--checkpoint", str(ckpt)]) == 2
         assert main(["serve", "--bind", "host:notaport", "--checkpoint", str(ckpt)]) == 2
         assert "host:port" in capsys.readouterr().err
+
+
+class TestServeStartup:
+    """serve refuses a bad port or default window width before it listens,
+    and opens its log only once the listener is bound."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, init_params(NetworkConfig(height=24, width=32, action_count=2),
+                                          np.random.default_rng(0)))
+        return str(path)
+
+    def test_port_out_of_range_is_usage_error(self, ckpt, capsys):
+        assert main(["serve", "--bind", "127.0.0.1:70000", "--checkpoint", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert "error: --bind port must be in 0..65535" in err and "Traceback" not in err
+        assert main(["serve", "--bind", "127.0.0.1:\u00b2", "--checkpoint", ckpt]) == 2
+        assert "error: --bind expects host:port" in capsys.readouterr().err
+
+    def test_failed_bind_keeps_an_earlier_log(self, ckpt, tmp_path, capsys):
+        log = tmp_path / "serve.jsonl"
+        log.write_bytes(b'{"step": 1, "action": 0}\n')
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            argv = ["serve", "--bind", f"127.0.0.1:{port}", "--checkpoint", ckpt,
+                    "--log", str(log)]
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert log.read_bytes() == b'{"step": 1, "action": 0}\n'
+
+    def test_zero_default_window_fails_before_listening(self, ckpt, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        codes = []
+        argv = ["serve", "--bind", f"127.0.0.1:{port}", "--checkpoint", ckpt, "--dt-us", "0"]
+        thread = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        thread.start()
+        thread.join(timeout=10)  # a server that started would not return
+        assert codes and codes[0] != 0
+        err = capsys.readouterr().err
+        assert "error: dt_us must be in [1, 2**64), got 0" in err and "Traceback" not in err
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import re
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from evrl import service as service_mod
 from evrl.events import accumulate_events, events_array
 from evrl.eventio import FormatError, save_checkpoint
 from evrl.qnet import NetworkConfig, copy_params, forward, init_params
-from evrl.service import (ActionService, LateEventError, WindowBucketer,
-                          infer_action, offline_actions)
+from evrl.service import ActionService, WindowBucketer, infer_action, offline_actions
 
 NET = NetworkConfig(height=24, width=32, action_count=2)
 DT = 10_000  # us
@@ -38,8 +38,7 @@ class TestWindowBucketer:
     def test_first_event_anchors_t0(self):
         b = WindowBucketer(DT)
         assert b.window_start is None
-        closed = b.add(one(500, 1, 2, 1))
-        assert closed == []
+        assert b.add(one(500, 1, 2, 1)) == ([], 0)
         assert b.t0 == 500
         assert b.window_start == 500
         assert b.bounds(b.step) == (500, 10_500)
@@ -47,31 +46,51 @@ class TestWindowBucketer:
     def test_event_at_window_end_closes_it(self):
         b = WindowBucketer(DT)
         b.add(one(500, 1, 2, 1))
-        closed = b.add(one(10_500, 3, 4, -1))
+        closed, late = b.add(one(10_500, 3, 4, -1))
         assert [(step, rows(ev)) for step, ev in closed] == [(1, [(500, 1, 2, 1)])]
+        assert late == 0
         assert pending_rows(b) == [(10_500, 3, 4, -1)]
         assert b.step == 2
 
     def test_event_inside_window_stays_pending(self):
         b = WindowBucketer(DT)
         b.add(one(500, 1, 2, 1))
-        assert b.add(one(10_499, 3, 4, 1)) == []
+        assert b.add(one(10_499, 3, 4, 1)) == ([], 0)
         assert len(pending_rows(b)) == 2
 
-    def test_gap_emits_empty_windows(self):
+    def test_gap_closes_empty_windows_without_listing_them(self):
         b = WindowBucketer(DT)
         b.add(one(0, 1, 1, 1))
-        closed = b.add(one(35_000, 2, 2, -1))
-        assert [step for step, _ in closed] == [1, 2, 3]
-        assert rows(closed[1][1]) == [] and rows(closed[2][1]) == []
+        closed, late = b.add(one(35_000, 2, 2, -1))
+        assert [(step, rows(ev)) for step, ev in closed] == [(1, [(0, 1, 1, 1)])]
+        assert late == 0
+        assert b.step == 4  # steps 2 and 3 closed empty
+        assert pending_rows(b) == [(35_000, 2, 2, -1)]
 
-    def test_late_event_raises_and_preserves_state(self):
+    def test_gap_costs_nothing_per_window(self):
+        """A gap closes all its windows in one add, with no entry or
+        allocation for any of them: 10**6 windows stay under 64 KiB of
+        peak memory, and then 2**40 windows at dt_us=1 close at once."""
+        b = WindowBucketer(1)
+        b.add(one(0, 1, 1, 1))
+        tracemalloc.start()
+        try:
+            closed, late = b.add(one(10 ** 6, 2, 2, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert [step for step, _ in closed] == [1] and late == 0
+        assert b.step == 10 ** 6 + 1
+        closed, late = b.add(one(2 ** 40, 3, 3, 1))
+        assert [step for step, _ in closed] == [10 ** 6 + 1] and late == 0
+        assert b.step == 2 ** 40 + 1 and b.window_start == 2 ** 40
+
+    def test_late_event_is_counted_and_preserves_state(self):
         b = WindowBucketer(DT)
         b.add(one(500, 1, 2, 1))
         b.add(one(10_500, 3, 4, 1))
-        with pytest.raises(LateEventError) as exc:
-            b.add(one(9_000, 0, 0, 1))
-        assert exc.value.closed == []
+        assert b.add(one(9_000, 0, 0, 1)) == ([], 1)
         assert b.step == 2
         assert pending_rows(b) == [(10_500, 3, 4, 1)]
 
@@ -96,55 +115,54 @@ class TestWindowBucketer:
         b.add(one(10_500, 3, 4, 1))
         batch = events_array([(100, 0, 0, 1), (9_000, 0, 0, -1), (10_600, 5, 5, 1),
                               (20_500, 6, 6, -1)])
-        with pytest.raises(LateEventError, match="2 event") as exc:
-            b.add(batch)
+        closed, late = b.add(batch)
         # the two late events are gone; the rest closed window 2
-        assert [(s, rows(ev)) for s, ev in exc.value.closed] == [
+        assert late == 2
+        assert [(s, rows(ev)) for s, ev in closed] == [
             (2, [(10_500, 3, 4, 1), (10_600, 5, 5, 1)])]
         step, events = b.flush()
         assert step == 3 and rows(events) == [(20_500, 6, 6, -1)]
 
-    def test_late_error_carries_closed_windows(self):
+    def test_late_head_with_closed_windows(self):
         b = WindowBucketer(DT)
         b.add(one(500, 1, 2, 1))
         b.add(one(10_500, 3, 4, 1))
-        with pytest.raises(LateEventError) as exc:
-            b.add(events_array([(9_000, 0, 0, 1), (40_500, 5, 5, 1)]))
-        assert [step for step, _ in exc.value.closed] == [2, 3, 4]
-        assert rows(exc.value.closed[0][1]) == [(10_500, 3, 4, 1)]
+        closed, late = b.add(events_array([(9_000, 0, 0, 1), (40_500, 5, 5, 1)]))
+        assert late == 1
+        assert [(s, rows(ev)) for s, ev in closed] == [(2, [(10_500, 3, 4, 1)])]
+        assert b.step == 5  # steps 3 and 4 closed empty
         assert pending_rows(b) == [(40_500, 5, 5, 1)]
 
     def test_unsorted_batch_is_not_a_late_error(self):
         b = WindowBucketer(DT)
-        with pytest.raises(ValueError, match="sorted") as exc:
+        with pytest.raises(ValueError, match="sorted"):
             b.add(events_array([(900, 1, 1, 1), (100, 2, 2, 1)]))
-        assert not isinstance(exc.value, LateEventError)
-        assert b.t0 is None
+        assert b.t0 is None and b.step == 1
 
     def test_batch_cut_matches_per_event_windows(self):
         b = WindowBucketer(DT)
         batch = events_array([(0, 0, 0, 1), (0, 1, 0, 1), (9_999, 2, 0, 1),
                               (10_000, 3, 0, 1), (30_000, 4, 0, -1), (39_999, 5, 0, 1)])
-        closed = b.add(batch)
+        closed, late = b.add(batch)
         assert [(s, rows(ev)) for s, ev in closed] == [
             (1, [(0, 0, 0, 1), (0, 1, 0, 1), (9_999, 2, 0, 1)]),
             (2, [(10_000, 3, 0, 1)]),
-            (3, []),
         ]
+        assert late == 0
         assert pending_rows(b) == [(30_000, 4, 0, -1), (39_999, 5, 0, 1)]
-        assert b.step == 4
+        assert b.step == 4  # step 3 closed empty
 
     def test_windows_near_the_top_of_uint64(self):
         top = 2 ** 64 - 1
         b = WindowBucketer(DT)
-        closed = b.add(events_array([(top - 24_999, 1, 1, 1), (top, 2, 2, -1)]))
-        assert [step for step, _ in closed] == [1, 2]
+        closed, late = b.add(events_array([(top - 24_999, 1, 1, 1), (top, 2, 2, -1)]))
+        assert [step for step, _ in closed] == [1] and late == 0
+        assert b.step == 3  # step 2 closed empty
         assert pending_rows(b) == [(top, 2, 2, -1)]
         step, events = b.flush()
         assert step == 3 and rows(events) == [(top, 2, 2, -1)]
         assert b.window_start > top  # bounds are Python ints: no wrap
-        with pytest.raises(LateEventError):
-            b.add(one(top, 0, 0, 1))
+        assert b.add(one(top, 0, 0, 1)) == ([], 1)
         assert b.step == 4 and b.pending == []
 
 
@@ -518,7 +536,7 @@ class ReferenceBucketer:
         if self.t0 is None:
             self.t0 = t
         if t < self.window_start:
-            raise LateEventError("late", [])
+            raise ValueError("late")
         closed = []
         while t >= self.window_start + self.dt:
             closed.append((self.step, self.pending))
@@ -577,7 +595,7 @@ class TestSharedPath:
                 try:
                     for step, events in ref.add(t, x, y, p):
                         ref_actions.append(reference_action(params, ref, step, events))
-                except LateEventError:
+                except ValueError:  # late: dropped
                     pass
         ref_actions.append(reference_action(params, ref, *ref.flush()))
         assert ref_actions == want
@@ -817,3 +835,280 @@ def test_decoder_agrees_with_the_generic_path():
             raw = mutate(raw, rng)
         edited_fast += decoded_or_none(raw) is not None
     assert 0 < edited_fast < 4000
+
+
+def count_forwards(monkeypatch):
+    """A list that gains one entry per qnet.forward call from here on."""
+    calls = []
+    real = service_mod.qnet.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(service_mod.qnet, "forward", counted)
+    return calls
+
+
+class TestEmptyWindows:
+    """A run of empty windows costs one forward pass, not one per window,
+    and a message may close at most _MAX_WINDOWS windows."""
+
+    GAP = 20_000
+    STREAM = [[0, 1, 1, 1], [GAP * DT, 2, 2, -1]]
+
+    def test_gap_in_one_message_shares_one_forward_pass(self, service, monkeypatch):
+        svc, params = service
+        want = offline_actions(events_array([tuple(r) for r in self.STREAM]), DT, params)
+        assert len(want) == self.GAP + 1
+        calls = count_forwards(monkeypatch)
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": self.STREAM})
+            replies = [c.recv() for _ in range(self.GAP)]
+            forwards = len(calls)
+            c.send({"type": "flush"})
+            replies.append(c.recv())
+        finally:
+            c.close()
+        assert forwards <= 2  # window 1, then one for all the empty ones
+        assert [r["step"] for r in replies] == list(range(1, self.GAP + 2))
+        assert [r["action"] for r in replies] == want
+        assert {r["latency_us"] for r in replies[2:-1]} == {0}
+
+    def test_offline_gap_costs_three_forward_passes(self, monkeypatch):
+        params = init_params(NET, np.random.default_rng(5))
+        params.fc2_b[1] += 0.5  # not every frame gets the same action
+        calls = count_forwards(monkeypatch)
+        actions = offline_actions(events_array([tuple(r) for r in self.STREAM]), DT, params)
+        assert len(calls) <= 3
+        assert len(actions) == self.GAP + 1
+        ev = events_array([tuple(r) for r in self.STREAM])
+        direct = [int(np.argmax(forward(params, accumulate_events(
+            ev, k * DT, (k + 1) * DT, NET.width, NET.height), mode="eval")[0]))
+            for k in (0, 1, self.GAP)]  # the first, an empty and the last window
+        assert actions[0] == direct[0] and actions[-1] == direct[2]
+        assert actions[1:-1] == [direct[1]] * (self.GAP - 1)
+
+    def test_message_over_the_window_cap_is_refused(self, service, rng):
+        svc, params = service
+        cap = service_mod._MAX_WINDOWS
+        assert cap == 2 ** 16
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": [[0, 1, 1, 1], [cap * DT, 2, 2, 1]]})
+            lines = [c.reader.readline() for _ in range(cap)]  # exactly the cap: served
+            assert json.loads(lines[-1])["step"] == cap and b'"error"' not in b"".join(lines)
+            c.send({"type": "events", "events": [[(2 * cap + 1) * DT, 2, 2, 1]]})
+            assert c.recv() == {"type": "error", "message": "malformed message: message "
+                                f"closes {cap + 1} windows, more than {cap}"}
+            assert c.recv() is None
+        finally:
+            c.close()
+        ev = random_stream(rng)
+        want = offline_actions(ev, DT, params)
+        assert replay(svc.address, ev, len(want)) == want
+
+
+class TestSessionLimits:
+    def test_idle_client_does_not_hold_the_listener(self, service, rng, monkeypatch):
+        svc, params = service
+        monkeypatch.setattr(service_mod, "_IDLE_TIMEOUT_S", 0.2)
+        idle = Client(svc.address)
+        try:
+            ev = random_stream(rng)
+            want = offline_actions(ev, DT, params)
+            assert replay(svc.address, ev, len(want)) == want
+            assert idle.recv() is None  # closed without a reply
+        finally:
+            idle.close()
+
+    def test_client_that_stops_reading_does_not_hold_the_listener(self, service, rng,
+                                                                  monkeypatch):
+        """The replies to one message fill every socket buffer; the send
+        that then waits past the timeout ends the session."""
+        svc, params = service
+        monkeypatch.setattr(service_mod, "_IDLE_TIMEOUT_S", 0.2)
+        stuck = socket.socket()
+        stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            stuck.connect(svc.address)
+            cap = service_mod._MAX_WINDOWS
+            stuck.sendall(b'{"type":"hello","width":%d,"height":%d}\n' % (NET.width, NET.height)
+                          + b'{"type":"events","events":[[0,1,1,1],[%d,1,1,1]]}\n' % (cap * DT)
+                          + b'{"type":"events","events":[[%d,1,1,1]]}\n' % (2 * cap * DT))
+            ev = random_stream(rng)
+            want = offline_actions(ev, DT, params)
+            assert replay(svc.address, ev, len(want)) == want
+        finally:
+            stuck.close()
+
+
+class SessionModel:
+    """The window state a session's replies follow: t0, the open step and
+    the events kept so far."""
+
+    def __init__(self):
+        self.t0, self.step, self.kept = None, 1, []
+
+    @property
+    def start(self):
+        return None if self.t0 is None else self.t0 + (self.step - 1) * DT
+
+    def add(self, rows):
+        """(windows closed, late events) for one sorted events message."""
+        if not rows:
+            return 0, 0
+        if self.t0 is None:
+            self.t0 = rows[0][0]
+        late = sum(r[0] < self.start for r in rows)
+        rest, before = rows[late:], self.step
+        if rest:
+            self.step = max(self.step, (rest[-1][0] - self.t0) // DT + 1)
+        self.kept += rest
+        return self.step - before, late
+
+    def flush(self):
+        if self.t0 is None:
+            return 0
+        self.step += 1
+        return 1
+
+
+def fuzz_rows(rng, model, base, n=None):
+    """n sorted in-sensor rows from the open window onward (or from base),
+    over up to three windows, with t below 2**64."""
+    lo = base if model.start is None else model.start
+    n = int(rng.integers(1, 30)) if n is None else n
+    t = np.sort(lo + rng.integers(0, 3 * DT, n).astype(object))
+    return [[min(int(v), 2 ** 64 - 1), int(rng.integers(0, NET.width)),
+             int(rng.integers(0, NET.height)), int(rng.choice([-1, 1]))] for v in t]
+
+
+def events_line(rows, rng):
+    msg = {"type": "events", "events": rows}
+    return ((compact if rng.random() < 0.5 else json.dumps)(msg) + "\n").encode()
+
+
+BAD_JSON = [b"not json\n", b"{\n", b'{"type":"events","events":[[1,2,3,4]]\n', b"\n",
+            b'{"type":"events","events":[[1,2,3,4],]}\n', b"\xff\xfe\n",
+            b'{"type":"flush"}}\n']
+NOT_OBJECTS = [b"[]\n", b"1\n", b'"events"\n', b"null\n", b"true\n", b"[[0,1,1,1]]\n"]
+BAD_TYPES = [b"{}\n", b'{"type":"stop"}\n', b'{"type":null}\n', b'{"type":"events"}\n',
+             b'{"type":"events","events":{}}\n', b'{"type":"events","events":[[0,1,1]]}\n']
+BAD_FIELDS = [1.5, 2.0, True, False, None, "1", 2 ** 64 + 7, 10 ** 19, -10 ** 19, -2]
+
+
+def fatal_line(rng, model, base):
+    """One line that must draw a single 'malformed message' error and a
+    close, given the session's window state."""
+    kind = int(rng.integers(7))
+    if kind == 0:
+        return BAD_JSON[int(rng.integers(len(BAD_JSON)))]
+    if kind == 1:
+        return NOT_OBJECTS[int(rng.integers(len(NOT_OBJECTS)))]
+    if kind == 2:
+        return BAD_TYPES[int(rng.integers(len(BAD_TYPES)))]
+    rows = fuzz_rows(rng, model, base, int(rng.integers(2, 8)))
+    if kind == 3:  # one field a float, boolean, string, too large or negative
+        row = rows[int(rng.integers(len(rows)))]
+        row[int(rng.integers(4))] = BAD_FIELDS[int(rng.integers(len(BAD_FIELDS)))]
+    elif kind == 4:  # unsorted
+        rows[0][0], rows[-1][0] = rows[-1][0] + 1, rows[0][0]
+    elif kind == 5:  # a gap of one window over the cap
+        t0, step = (rows[0][0], 1) if model.t0 is None else (model.t0, model.step)
+        rows = rows[:1] + [[t0 + (step + service_mod._MAX_WINDOWS) * DT, 1, 1, 1]]
+    else:  # a line over the length limit
+        line = events_line(rows, rng)
+        return line[:-1] + b" " * (service_mod._MAX_LINE + 1 - len(line)) + line[-1:]
+    return events_line(rows, rng)
+
+
+class TestSessionFuzz:
+    """Seeded sessions of valid, late-head, at-the-cap, empty and flush
+    lines, each ended by a flush or one hostile line: every line draws its
+    documented replies, and a clean session afterwards matches
+    offline_actions."""
+
+    def test_hostile_sessions(self, service, monkeypatch):
+        svc, params = service
+        monkeypatch.setattr(service_mod, "_MAX_WINDOWS", 40)  # gaps at the cap stay cheap
+        monkeypatch.setattr(service_mod, "_MAX_LINE", 4096)
+        rng = np.random.default_rng(2024)
+        zero = int(np.argmax(forward(params, np.zeros((NET.height, NET.width), np.int8),
+                                     mode="eval")[0]))
+        lines = sessions = 0
+        while lines < 600:
+            lines += self.session(svc.address, params, rng, zero)
+            sessions += 1
+        assert sessions >= 100
+        monkeypatch.undo()  # the clean session sends one long line
+        ev = random_stream(rng)
+        want = offline_actions(ev, DT, params)
+        assert replay(svc.address, ev, len(want)) == want
+
+    def session(self, address, params, rng, zero):
+        base = [0, int(rng.integers(1, 10 ** 9)), 10 ** 18 + int(rng.integers(10 ** 17)),
+                2 ** 64 - 10 ** 7][int(rng.integers(4))]  # 19- and 20-digit times too
+        model, got, sent = SessionModel(), [], 0
+        c = Client(address)
+        try:
+            if rng.random() < 0.1:  # a line before hello
+                c.send_raw([b'{"type":"flush"}\n', events_line(fuzz_rows(rng, model, base), rng),
+                            b'{"type":"hello","width":32.0,"height":24,"dt_us":10000}\n',
+                            b'{"type":"hello","width":32,"height":24,"dt_us":0}\n',
+                            b'{"type":"hello","width":64,"height":48}\n'][int(rng.integers(5))])
+                self.expect_close(c)
+                return 1
+            assert c.hello()["type"] == "ready"
+            sent += 1
+            for _ in range(int(rng.integers(0, 6))):
+                op = rng.random()
+                late_rows = []
+                if op < 0.1:
+                    c.send({"type": "flush"})
+                    closed, late = model.flush(), 0
+                else:
+                    rows = [] if op < 0.15 else fuzz_rows(rng, model, base)
+                    if op > 0.85 and model.t0 is not None:  # closes exactly the cap
+                        rows = [[model.t0 + (model.step + service_mod._MAX_WINDOWS - 1) * DT,
+                                 1, 2, 1]]
+                    elif op > 0.5 and model.start is not None and model.start > base:
+                        back = rng.integers(0, min(2 * DT, model.start - base),
+                                            int(rng.integers(1, 4)))
+                        late_rows = [[model.start - 1 - int(v), 0, 0, 1]
+                                     for v in sorted(back, reverse=True)]
+                    start = model.start
+                    c.send_raw(events_line(late_rows + rows, rng))
+                    closed, late = model.add(late_rows + rows)
+                sent += 1
+                for _ in range(closed):
+                    msg = c.recv()
+                    assert msg["type"] == "action" and msg["step"] == len(got) + 1, msg
+                    got.append(msg["action"])
+                if late:
+                    assert c.recv() == {"type": "error", "message": (
+                        f"{late} event(s) from t={late_rows[0][0]} precede the open window "
+                        f"starting at {start}; dropped")}
+            if rng.random() < 0.2:
+                c.send({"type": "flush"})
+                for _ in range(model.flush()):
+                    got.append(c.recv()["action"])
+            else:
+                c.send_raw(fatal_line(rng, model, base))
+                self.expect_close(c)
+            sent += 1
+        finally:
+            c.close()
+        kept = sorted(model.kept, key=lambda r: r[0])  # stable: ties keep their order
+        want = offline_actions(events_array([tuple(r) for r in kept]), DT, params)
+        assert got == (want + [zero] * len(got))[:len(got)]
+        return sent
+
+    @staticmethod
+    def expect_close(c):
+        err = c.recv()
+        assert err["type"] == "error" and err["message"].startswith("malformed message"), err
+        assert c.recv() is None
