@@ -4,7 +4,31 @@ A frame-difference event simulator over a ray-cast renderer, two 100 Hz
 control tasks (collision avoidance, tracking), a from-scratch Double DQN
 stack, binary event-stream and checkpoint formats, and a TCP service
 that turns live event streams into actions.
+
+Importing the package keeps freed heap pages mapped for the whole process.
 """
+
+import ctypes
+
+
+def _keep_heap_mapped() -> None:
+    """Raise glibc's trim threshold (M_TRIM_THRESHOLD, -1) to 32 MiB and its
+    mmap threshold (M_MMAP_THRESHOLD, -3) to 4 MiB.
+
+    With the defaults, the frame-sized temporaries each step frees go back
+    to the OS and are page-faulted in again on the next step. Both are
+    needed: a fixed mmap threshold turns off glibc's own trim adjustment.
+    A no-op without glibc's mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-1, 32 * 2 ** 20)
+    mallopt(-3, 4 * 2 ** 20)
+
+
+_keep_heap_mapped()  # before any submodule allocates a frame
 
 from .events import (EVENT_DTYPE, EmulatorConfig, accumulate_events,
                      emulate_frame, events_array, inject_impulse_noise)

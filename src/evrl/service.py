@@ -30,14 +30,16 @@ every event field must be JSON integers (not floats or booleans); events
 must pass the record rules of events.event_faults and be non-decreasing
 in t within a message. A malformed line, one longer than 16 MiB (newline
 included), or a message that would close more than 2**16 windows draws an
-error, before any action, and closes the connection. A message is sorted,
-so its events older than the open window form its head: they are all
-dropped with one error reply, the rest of the message is served, and the
-session stays up. A forward pass that overflows (FloatingPointError) draws
-an error and closes the connection. A session is closed, without a reply,
-when its client sends nothing for 60 s or a reply cannot be sent within
-60 s. A session that fails in any other way is closed, and the server
-goes on accepting connections. A default dt_us outside [1, 2**64) fails
+error, before any action, and closes the connection. So does a second
+hello in one session, which would otherwise drop the open window's
+events and restart the steps. A message is sorted, so its events older
+than the open window form its head: they are all dropped with one error
+reply, the rest of the message is served, and the session stays up. A
+forward pass that overflows (FloatingPointError) draws an error and
+closes the connection. A session is closed, without a reply, when its
+client sends nothing for 60 s or a reply cannot be sent within 60 s. A
+session that fails in any other way is closed, and the server goes on
+accepting connections. A default dt_us outside [1, 2**64) fails
 before the listener binds.
 """
 
@@ -73,7 +75,7 @@ Window = Tuple[int, np.ndarray]  # (step, that window's events)
 _MAX_LINE = 16 * 2 ** 20
 
 # Most windows one message may close, each with its own reply. 2**16 replies
-# took 0.8 s over loopback on 2 vCPUs; decoding a 16 MiB line takes 0.5 s.
+# took 0.8 s over loopback on 2 vCPUs; decoding a 16 MiB line takes 0.3 s.
 _MAX_WINDOWS = 2 ** 16
 
 # Seconds a session waits for its client's next bytes, or for a reply to
@@ -84,15 +86,17 @@ _IDLE_TIMEOUT_S = 60.0
 # up to the list's "[", rows [t,x,y,p] joined by "," or ", ", and the tail
 # after its "]". Integers are JSON integers of at most 18 digits, so int64
 # parsing cannot saturate; longer ones, and every other spelling of the
-# message, go to json.loads. The rows are found by substitution, not by
-# one match of a repeated group: the regex engine keeps about 1 kB of
-# backtracking state per repetition of a group, 6.7 MB for 6000 rows.
+# message, go to json.loads. Every quantifier in _ROWS is possessive, so
+# the engine keeps no backtracking state per row: one fullmatch checks a
+# 16 MiB line in about 1 kB of memory (a greedy repeated group keeps about
+# 1 kB per row, 6.6 MB for 6000 rows).
 _WS = rb"[ \t\r\n]*"  # JSON whitespace
 _EVENTS_HEAD = re.compile(_WS.join([b"", rb"\{", b'"type"', b":", b'"events"', b",",
                                     b'"events"', b":", rb"\["]))
 _EVENTS_TAIL = re.compile(_WS + rb"\}" + _WS)
-_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
-_ROW = re.compile(rb"\[%s, ?%s, ?%s, ?%s\]" % (_INT, _INT, _INT, _INT))
+_INT = rb"-?+(?:0|[1-9][0-9]{0,17}+)"
+_ROW = rb"\[%s, ?+%s, ?+%s, ?+%s\]" % (_INT, _INT, _INT, _INT)
+_ROWS = re.compile(rb"%s(?:, ?+%s)*+" % (_ROW, _ROW))
 
 
 class WindowBucketer:
@@ -251,15 +255,12 @@ def _decode_events_line(raw: bytes, width: int, height: int) -> Optional[np.ndar
     end = raw.rfind(b"]")  # the head holds none, so this closes the list
     if head is None or end < head.end() or _EVENTS_TAIL.fullmatch(raw, end + 1) is None:
         return None
-    rows = raw[head.end():end]
-    if not rows:
+    lo = head.end()
+    if end == lo:
         return _NO_EVENTS
-    # each valid row becomes one r and all else stays, so the list is rows
-    # and separators alone exactly when what is left reads r,r,...,r
-    shape, count = _ROW.subn(b"r", rows)
-    if shape.replace(b", ", b",") != b"r" + b",r" * (count - 1):
+    if _ROWS.fullmatch(raw, lo, end) is None:
         return None
-    t, x, y, p = np.fromstring(rows.translate(None, b"[]"), dtype=np.int64,
+    t, x, y, p = np.fromstring(raw[lo:end].translate(None, b"[]"), dtype=np.int64,
                                sep=",").reshape(-1, 4).T
     outside, polarity = event_faults(t, x, y, p, width, height)
     if (outside | polarity).any():
@@ -351,6 +352,8 @@ class ActionService:
                         raise ValueError("message is not an object")
                     mtype = msg.get("type")
                     if mtype == "hello":
+                        if bucketer is not None:  # its pending window would be lost
+                            raise ValueError("hello repeated within a session")
                         width, height = msg["width"], msg["height"]
                         dt_us = msg.get("dt_us", self.default_dt_us)
                         if {type(width), type(height), type(dt_us)} != {int}:

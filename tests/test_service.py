@@ -345,6 +345,24 @@ class TestActionService:
         finally:
             c.close()
 
+    def test_repeated_hello_errors_and_closes(self, service):
+        """A second hello must not drop the open window's events and
+        restart the steps: it draws an error, then a close."""
+        svc, params = service
+        ev = [[0, 1, 1, 1], [10_000, 2, 2, 1], [15_000, 3, 3, 1]]
+        c = Client(svc.address)
+        try:
+            assert c.hello()["type"] == "ready"
+            c.send({"type": "events", "events": ev})
+            assert c.recv()["step"] == 1
+            assert c.hello() == {"type": "error", "message":
+                                 "malformed message: hello repeated within a session"}
+            assert c.recv() is None
+        finally:
+            c.close()
+        want = offline_actions(events_array(ev), DT, params)
+        assert replay(svc.address, events_array(ev), len(want)) == want
+
     def test_unsorted_batch_rejected(self, service):
         svc, _ = service
         c = Client(svc.address)
