@@ -15,6 +15,10 @@ running estimates as a side effect) and running statistics in eval mode,
 so single-frame action selection is deterministic. Any non-finite value
 appearing in an activation or gradient raises FloatingPointError.
 
+Frames keep their own dtype (int8 event frames stay int8): conv1 pads and
+gathers them as they are and casts only the gathered columns to the
+weights' dtype.
+
 A network's arrays live in one flat buffer in PARAM_FIELDS order (the
 checkpoint body). Gradients and the Adam moments share that layout, so
 an optimizer step and a target sync are whole-buffer operations.
@@ -25,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -108,9 +112,20 @@ TRAINABLE_FIELDS = tuple(f for f in PARAM_FIELDS if f not in
                          ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var"))
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(cfg: NetworkConfig):
+    """((name, start, stop, shape) per field in PARAM_FIELDS order, flat length)."""
+    fields, offset = [], 0
+    for name, shape in param_shapes(cfg).items():
+        stop = offset + math.prod(shape)
+        fields.append((name, offset, stop, shape))
+        offset = stop
+    return tuple(fields), offset
+
+
 def param_count(cfg: NetworkConfig) -> int:
     """Length of the flat buffer that holds every parameter array."""
-    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+    return _layout(cfg)[1]
 
 
 class QNetworkParams:
@@ -123,14 +138,12 @@ class QNetworkParams:
     """
 
     def __init__(self, cfg: NetworkConfig, flat: np.ndarray):
-        if flat.shape != (param_count(cfg),):
-            raise ValueError(f"expected {param_count(cfg)} values, got shape {flat.shape}")
+        fields, count = _layout(cfg)
+        if flat.shape != (count,):
+            raise ValueError(f"expected {count} values, got shape {flat.shape}")
         self.cfg, self.flat = cfg, flat
-        offset = 0
-        for name, shape in param_shapes(cfg).items():
-            size = math.prod(shape)
-            setattr(self, name, flat[offset:offset + size].reshape(shape))
-            offset += size
+        for name, start, stop, shape in fields:
+            setattr(self, name, flat[start:stop].reshape(shape))
 
     def arrays(self):
         """(name, array) pairs in declaration order."""
@@ -183,16 +196,29 @@ def _patch_index(ci, hp, wp, k, stride):
     return idx
 
 
-def _conv_forward(x, w, b, stride, pad):
+def _patches(x, k, stride, pad):
+    """(xp, cols): x zero-padded, and its receptive fields as rows of cols,
+    (B*Ho*Wo, Ci*K*K), both in x's dtype."""
     bsz, ci, h, wd = x.shape
-    co, _, k, _ = w.shape
     xp = np.zeros((bsz, ci, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + wd] = x
     idx = _patch_index(ci, h + 2 * pad, wd + 2 * pad, k, stride)
-    # (B*Ho*Wo, Ci*K*K). np.take gathers the same values as
-    # xp.reshape(bsz, -1)[:, idx], about 3x faster at 240x180 with B=32
-    # (2-vCPU VM) and no slower at batch 1.
-    cols = np.take(xp.reshape(bsz, -1), idx, axis=1).reshape(-1, idx.shape[1])
+    # np.take gathers the same values as xp.reshape(bsz, -1)[:, idx], about
+    # 3x faster at 240x180 with B=32 (2-vCPU VM) and no slower at batch 1.
+    return xp, np.take(xp.reshape(bsz, -1), idx, axis=1).reshape(-1, idx.shape[1])
+
+
+def _conv_forward(x, w, b, stride, pad, patches=None):
+    """Conv of x by w; patches, if given, is _patches(x, k, stride, pad).
+
+    The patches are gathered in x's dtype (int8 for event frames) and the
+    columns cast to w's dtype after: the cast is exact elementwise, so the
+    GEMM sees the values it would see for x cast first.
+    """
+    bsz, ci, h, wd = x.shape
+    co, _, k, _ = w.shape
+    xp, cols = _patches(x, k, stride, pad) if patches is None else patches
+    cols = cols.astype(w.dtype, copy=False)
     ho = conv_out_len(h, k, stride, pad)
     # Keep the F-ordered view w.reshape(co, -1).T: a C-contiguous copy takes
     # another BLAS path, whose float64 sums differ in the last bits and so
@@ -223,16 +249,20 @@ def _conv_backward(dout, xp, cols, w, stride, pad, in_hw, need_dx=True):
 
 def _bn_forward(x, gamma, beta, running_mean, running_var, eps, momentum, train):
     if train:
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        # x.mean and x.var to the bit, with x - mu computed once
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        mu = x.sum(axis=(0, 2, 3)) / n
+        d = x - mu[None, :, None, None]
+        var = (d * d).sum(axis=(0, 2, 3)) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
         mu, var = running_mean, running_var
+        d = x - mu[None, :, None, None]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+    xhat = d * inv[None, :, None, None]
     out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
     return out, (xhat, inv)
 
@@ -248,7 +278,7 @@ def _bn_backward(dout, xhat, inv, gamma):
     return dx, dgamma, dbeta
 
 
-def _as_batch(x, cfg: NetworkConfig, dtype) -> np.ndarray:
+def _as_batch(x, cfg: NetworkConfig) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim == 2:
         x = x[None, None]
@@ -261,16 +291,22 @@ def _as_batch(x, cfg: NetworkConfig, dtype) -> np.ndarray:
             f"input shape {x.shape} does not match network input "
             f"(B, 1, {cfg.height}, {cfg.width})"
         )
-    return x.astype(dtype, copy=False)
+    return x
 
 
-def _forward_with_cache(params: QNetworkParams, x: np.ndarray, train: bool):
+def _forward_with_cache(params: QNetworkParams, x: np.ndarray, train: bool,
+                        patches=None):
     cfg = params.cfg
     s1, s2 = cfg.strides
     p = cfg.padding
     eps, mom = cfg.bn_eps, cfg.bn_momentum
 
-    z1, conv1_cache = _conv_forward(x, params.conv1_w, params.conv1_b, s1, p)
+    # Five arguments unless the patches are shared: a reference conv with
+    # that signature can then stand in for every conv of forward and backward.
+    if patches is None:
+        z1, conv1_cache = _conv_forward(x, params.conv1_w, params.conv1_b, s1, p)
+    else:
+        z1, conv1_cache = _conv_forward(x, params.conv1_w, params.conv1_b, s1, p, patches)
     _check_finite("conv1", z1)
     b1, (xhat1, inv1) = _bn_forward(z1, params.bn1_gamma, params.bn1_beta,
                                     params.bn1_mean, params.bn1_var, eps, mom, train)
@@ -302,9 +338,26 @@ def forward(params: QNetworkParams, batch, mode: str = "eval") -> np.ndarray:
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _as_batch(batch, params.cfg, params.conv1_w.dtype)
+    x = _as_batch(batch, params.cfg)
     q, _ = _forward_with_cache(params, x, train=(mode == "train"))
     return q
+
+
+def forward_shared(networks: Sequence[QNetworkParams], batch) -> List[np.ndarray]:
+    """Eval-mode Q-values of each network on one batch.
+
+    Each result is bit-equal to forward(net, batch, mode="eval"); the conv1
+    patches depend only on the batch, so they are gathered once for all the
+    networks, which must share one config.
+    """
+    cfg = networks[0].cfg
+    if any(net.cfg != cfg for net in networks):
+        raise ValueError("networks must share one config")
+    x = _as_batch(batch, cfg)
+    xp, cols = _patches(x, cfg.kernel, cfg.strides[0], cfg.padding)
+    patches = (xp, cols.astype(networks[0].conv1_w.dtype, copy=False))
+    return [_forward_with_cache(net, x, train=False, patches=patches)[0]
+            for net in networks]
 
 
 def backward(params: QNetworkParams, batch, actions, targets,
@@ -319,12 +372,12 @@ def backward(params: QNetworkParams, batch, actions, targets,
     if loss_kind not in ("huber", "squared"):
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
     cfg = params.cfg
-    x = _as_batch(batch, cfg, params.conv1_w.dtype)
+    x = _as_batch(batch, cfg)
     bsz = x.shape[0]
     actions = np.asarray(actions, dtype=np.int64).reshape(bsz)
     if (actions < 0).any() or (actions >= cfg.action_count).any():
         raise ValueError("action index out of range")
-    targets = np.asarray(targets, dtype=x.dtype).reshape(bsz)
+    targets = np.asarray(targets, dtype=params.flat.dtype).reshape(bsz)
 
     q, cache = _forward_with_cache(params, x, train=True)
     (x0, conv1_cache, b1, xhat1, inv1, a1,

@@ -24,46 +24,89 @@ from .envs import StepResult, episode_return
 from .qnet import NetworkConfig, QNetworkParams
 
 
-class ReplayBuffer:
-    """Ring buffer of (s, a, r, s_next, done) tuples; oldest evicted first.
+def _grown(arr: np.ndarray, need: int, limit: int) -> np.ndarray:
+    """arr, or a copy at least twice as long (at most limit) when need > len(arr)."""
+    if need <= len(arr):
+        return arr
+    out = np.empty((min(max(need, 2 * len(arr)), limit),) + arr.shape[1:], dtype=arr.dtype)
+    out[:len(arr)] = arr
+    return out
 
-    Frames are kept by reference, so consecutive transitions share the
-    array that is one's s_next and the next one's s.
+
+class ReplayBuffer:
+    """FIFO ring of (s, a, r, s_next, done) transitions; oldest evicted first.
+
+    Frames are int8 event frames, copied on push into one frame ring. A
+    transition whose s is the object pushed as the previous s_next reuses
+    that frame's slot, so an episode of n steps holds n + 1 frames. Each
+    push takes at most two new slots, so a ring of 2 * capacity slots never
+    overwrites a frame that a stored transition still refers to. The arrays
+    grow geometrically up to those sizes as transitions arrive.
     """
 
     def __init__(self, capacity: int = 10 ** 6):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._storage: List[tuple] = []
-        self._cursor = 0
+        self._len = 0
+        self._cursor = 0  # the oldest row, overwritten next once full
+        self._next_slot = 0  # the next frame slot, modulo 2 * capacity
+        self._prev_next = self._prev_slot = None  # the last push's s_next
+        self._frames = None  # (slots, H, W) int8, shaped by the first push
+        self._s_slot = np.empty(0, dtype=np.int64)
+        self._n_slot = np.empty(0, dtype=np.int64)
+        self._a = np.empty(0, dtype=np.int64)
+        self._r = np.empty(0, dtype=np.float32)
+        self._done = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._len
+
+    def _store_frame(self, frame) -> int:
+        frame = np.asarray(frame)
+        if self._frames is None:
+            self._frames = np.empty((0,) + frame.shape, dtype=np.int8)
+        elif frame.shape != self._frames.shape[1:]:
+            raise ValueError(f"frame shape {frame.shape} != {self._frames.shape[1:]}")
+        slot = self._next_slot
+        self._frames = _grown(self._frames, slot + 1, 2 * self.capacity)
+        np.copyto(self._frames[slot], frame, casting="safe")
+        self._next_slot = (slot + 1) % (2 * self.capacity)
+        return slot
 
     def push(self, transition: tuple):
-        if len(self._storage) < self.capacity:
-            self._storage.append(transition)
+        s, a, r, s_next, done = transition
+        s_slot = self._prev_slot if s is self._prev_next else self._store_frame(s)
+        n_slot = self._store_frame(s_next)
+        self._prev_next, self._prev_slot = s_next, n_slot
+        if self._len < self.capacity:
+            row = self._len
+            self._len += 1
+            if row == len(self._a):
+                self._s_slot, self._n_slot, self._a, self._r, self._done = (
+                    _grown(arr, self._len, self.capacity) for arr in
+                    (self._s_slot, self._n_slot, self._a, self._r, self._done))
         else:
-            self._storage[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+            row = self._cursor
+            self._cursor = (row + 1) % self.capacity
+        self._s_slot[row], self._n_slot[row] = s_slot, n_slot
+        self._a[row], self._r[row], self._done[row] = a, r, done
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple:
         """Uniform with replacement; raises until batch_size items are stored.
 
-        Returns (s, a, r, s_next, done): frames stacked to (B, H, W),
+        Returns (s, a, r, s_next, done): frames stacked to (B, H, W) int8,
         actions int64, rewards float32 and done flags bool.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if len(self._storage) < batch_size:
+        if self._len < batch_size:
             raise RuntimeError(
-                f"buffer holds {len(self._storage)} transitions, need {batch_size}"
+                f"buffer holds {self._len} transitions, need {batch_size}"
             )
-        idx = rng.integers(0, len(self._storage), size=batch_size)
-        s, a, r, s_next, done = zip(*(self._storage[i] for i in idx))
-        return (np.stack(s), np.array(a, dtype=np.int64), np.array(r, dtype=np.float32),
-                np.stack(s_next), np.array(done, dtype=bool))
+        idx = rng.integers(0, self._len, size=batch_size)
+        return (self._frames[self._s_slot[idx]], self._a[idx], self._r[idx],
+                self._frames[self._n_slot[idx]], self._done[idx])
 
 
 @dataclass
@@ -130,8 +173,8 @@ def double_dqn_target(r, s_next, done, online_params: QNetworkParams,
     y = r_arr.copy()
     live = ~done_arr
     if live.any():
-        q_online = qnet.forward(online_params, s_arr[live], mode="eval")
-        q_target = qnet.forward(target_params, s_arr[live], mode="eval")
+        q_online, q_target = qnet.forward_shared((online_params, target_params),
+                                                 s_arr[live])
         best = np.argmax(q_online, axis=1)
         y[live] += gamma * q_target[np.arange(len(best)), best]
     return float(y[0]) if scalar else y

@@ -254,10 +254,62 @@ class TestBackward:
         for name in TRAINABLE_FIELDS:
             assert np.array_equal(getattr(huber_grads, name), getattr(sq_grads, name)), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_int8_frames_match_float_frames(self, rng, dtype):
+        # targets are cast to the weights' dtype, not the frames': an int8
+        # cast would truncate 0.75 to 0
+        params = init_params(SMALL, rng, dtype=dtype)
+        ref_params = copy_params(params)
+        x = ternary(rng, (6, 1, 8, 8))
+        actions = rng.integers(0, 3, size=6)
+        targets = rng.normal(0.0, 1.0, size=6) + 0.75
+        grads, loss = backward(params, x, actions, targets)
+        ref_grads, ref_loss = backward(ref_params, x.astype(np.float32), actions, targets)
+        assert loss == ref_loss
+        assert grads.flat.dtype == dtype
+        assert np.array_equal(grads.flat, ref_grads.flat)
+        assert np.array_equal(params.flat, ref_params.flat)  # bn running statistics
+
     def test_action_out_of_range(self, rng):
         params = init_params(SMALL, rng)
         with pytest.raises(ValueError):
             backward(params, np.zeros((1, 1, 8, 8)), [3], [0.0])
+
+
+def frozen_bn_forward(x, gamma, beta, running_mean, running_var, eps, momentum):
+    """Train-mode batch norm as it was written with np.mean and np.var,
+    kept as the bit-level reference for the centre-once form."""
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    return out, (xhat, inv)
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_mode_matches_mean_and_var_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 6)),
+                     int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+            c = shape[1]
+            x = (rng.normal(rng.normal(0, 3), rng.uniform(0.01, 5), shape)
+                 * (rng.random(shape) < rng.uniform(0.1, 1.0))).astype(dtype)
+            gamma, beta = rng.normal(1, 0.3, c).astype(dtype), rng.normal(0, 0.3, c).astype(dtype)
+            stats = [rng.normal(0, 1, c).astype(dtype), rng.uniform(0.5, 2, c).astype(dtype)]
+            ref_stats = [a.copy() for a in stats]
+            out, (xhat, inv) = qnet._bn_forward(x, gamma, beta, *stats, 1e-5, 0.1, True)
+            ref_out, (ref_xhat, ref_inv) = frozen_bn_forward(x, gamma, beta, *ref_stats,
+                                                             1e-5, 0.1)
+            for got, want in ((out, ref_out), (xhat, ref_xhat), (inv, ref_inv),
+                              (stats[0], ref_stats[0]), (stats[1], ref_stats[1])):
+                assert got.dtype == want.dtype and np.array_equal(got, want), shape
 
 
 class TestConvEquivalence:
@@ -289,10 +341,17 @@ class TestConvEquivalence:
 
         q = forward(params, x, mode="eval")
         grads, loss = backward(params, x, actions, targets)
-        monkeypatch.setattr(qnet, "_conv_forward", tensordot_conv_forward)
+        calls = []
+
+        def counted_conv(*args):
+            calls.append(len(args))
+            return tensordot_conv_forward(*args)
+
+        monkeypatch.setattr(qnet, "_conv_forward", counted_conv)
         monkeypatch.setattr(qnet, "_conv_backward", tensordot_conv_backward)
         ref_q = forward(ref_params, x, mode="eval")
         ref_grads, ref_loss = backward(ref_params, x, actions, targets)
+        assert calls == [5] * 4  # both convs of forward and of backward
 
         assert np.array_equal(q, ref_q)
         assert loss == ref_loss
@@ -478,6 +537,22 @@ class TestFlatLayout:
         params.fc1_b[:] = 5.0  # every init value lies in [-1, 1]
         assert np.count_nonzero(params.flat == 5.0) == params.fc1_b.size
         assert not (dup.flat == 5.0).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fields_tile_flat_in_field_order(self, dtype):
+        configs = (SMALL, NetworkConfig(height=48, width=64, action_count=4),
+                   NetworkConfig(height=24, width=32, action_count=3, conv_channels=(3, 5),
+                                 kernel=5, strides=(1, 2), padding=2, fc_width=7), SMALL)
+        for cfg in configs:  # SMALL again, after the others, reads its own layout
+            params = QNetworkParams(cfg, np.zeros(qnet.param_count(cfg), dtype=dtype))
+            base = params.flat.__array_interface__["data"][0]
+            offset = 0
+            for name, arr in params.arrays():
+                assert arr.shape == qnet.param_shapes(cfg)[name], name
+                assert arr.__array_interface__["data"][0] == base + offset * arr.itemsize
+                assert arr.flags.c_contiguous and np.shares_memory(arr, params.flat), name
+                offset += arr.size
+            assert offset == params.flat.size
 
     def test_gradients_share_the_layout(self, rng):
         params = init_params(SMALL, rng)

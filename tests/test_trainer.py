@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evrl.envs import AvoidanceEnv, EnvConfig
 from evrl.events import EmulatorConfig
-from evrl.qnet import NetworkConfig, forward, init_params
+from evrl.qnet import NetworkConfig, forward, forward_shared, init_params
 from evrl.renderer import CameraModel
 from evrl.trainer import (ReplayBuffer, TrainerConfig, double_dqn_target,
                           epsilon_greedy, evaluate, greedy_action,
@@ -119,6 +120,139 @@ class TestReplayBuffer:
         half_width = 3.29 * np.sqrt(p * (1 - p) / draws)
         assert np.all(np.abs(counts / draws - p) < half_width)
         assert saw_repeat  # with replacement, repeats within a batch occur
+
+
+class ListReplay:
+    """The list-of-tuples replay the int8 ring replaced, kept as its
+    reference: the same FIFO order and the same rng draw per batch."""
+
+    def __init__(self, capacity):
+        self.capacity, self.storage, self.cursor = capacity, [], 0
+
+    def push(self, transition):
+        if len(self.storage) < self.capacity:
+            self.storage.append(transition)
+        else:
+            self.storage[self.cursor] = transition
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, len(self.storage), size=batch_size)
+        s, a, r, s_next, done = zip(*(self.storage[i] for i in idx))
+        return (np.stack(s), np.array(a, dtype=np.int64), np.array(r, dtype=np.float32),
+                np.stack(s_next), np.array(done, dtype=bool))
+
+
+def ternary_frame(rng, shape=(6, 5)):
+    return rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=shape)
+
+
+class TestReplayRing:
+    @pytest.mark.parametrize("capacity", [1, 2, 7, 64])
+    def test_batches_equal_list_reference(self, capacity):
+        """Episodes of varied length, some transitions pushed with a fresh
+        s (a copy, not the previous s_next object), through several wraps."""
+        rng = np.random.default_rng(capacity)
+        ring, ref = ReplayBuffer(capacity), ListReplay(capacity)
+        ring_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        obs = ternary_frame(rng)
+        for step in range(5 * capacity + 40):
+            if rng.random() < 0.2:
+                obs = obs.copy()  # equal frame, another object: not chained
+            s_next = ternary_frame(rng)
+            done = bool(rng.random() < 0.15)
+            t = (obs, int(rng.integers(0, 3)), float(rng.normal()), s_next, done)
+            ring.push(t)
+            ref.push(t)
+            obs = ternary_frame(rng) if done else s_next
+            assert len(ring) == len(ref.storage)
+            batch = min(len(ring), 4)
+            for got, want in zip(ring.sample(batch, ring_rng), ref.sample(batch, ref_rng)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), step
+        assert ring_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_frames_are_copied_on_push(self, rng):
+        buf = ReplayBuffer(4)
+        s, s_next = ternary_frame(rng), ternary_frame(rng)
+        want = (s.copy(), s_next.copy())
+        buf.push((s, 0, 0.0, s_next, False))
+        s[:] = 1
+        s_next[:] = 1
+        got = buf.sample(1, rng)
+        assert np.array_equal(got[0][0], want[0]) and np.array_equal(got[3][0], want[1])
+
+    def test_rejects_frames_that_do_not_fit_the_ring(self, rng):
+        buf = ReplayBuffer(4)
+        buf.push((ternary_frame(rng), 0, 0.0, ternary_frame(rng), False))
+        with pytest.raises(ValueError, match="shape"):
+            buf.push((ternary_frame(rng, (5, 6)), 0, 0.0, ternary_frame(rng), False))
+        with pytest.raises(TypeError):
+            buf.push((np.zeros((6, 5)), 0, 0.0, ternary_frame(rng), False))
+
+    def test_large_capacity_allocates_as_it_fills(self):
+        rng = np.random.default_rng(0)
+        frames = [ternary_frame(rng, (48, 64)) for _ in range(101)]
+        tracemalloc.start()
+        try:
+            buf = ReplayBuffer(10 ** 6)
+            for i in range(100):  # four episodes of 25 chained steps
+                s = frames[i].copy() if i % 25 == 0 else frames[i]
+                buf.push((s, 0, 0.0, frames[i + 1], i % 25 == 24))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(buf) == 100
+        assert peak < 2 ** 20
+
+
+def two_forward_target(r, s_next, done, online, target, gamma):
+    """double_dqn_target with one qnet.forward call per network, as it was
+    before the shared conv1 gather; the shared form must equal it bitwise."""
+    r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    done_arr = np.atleast_1d(np.asarray(done, dtype=bool))
+    s_arr = np.asarray(s_next)
+    if s_arr.ndim == 2:
+        s_arr = s_arr[None]
+    y = r_arr.copy()
+    live = ~done_arr
+    if live.any():
+        q_online = forward(online, s_arr[live], mode="eval")
+        q_target = forward(target, s_arr[live], mode="eval")
+        best = np.argmax(q_online, axis=1)
+        y[live] += gamma * q_target[np.arange(len(best)), best]
+    return float(y[0]) if np.asarray(r).ndim == 0 else y
+
+
+class TestSharedTarget:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_two_forward_calls(self, rng, dtype):
+        online = init_params(NET, np.random.default_rng(3), dtype=dtype)
+        target = init_params(NET, np.random.default_rng(4), dtype=dtype)
+        online.bn1_mean += 0.1  # eval mode reads the running statistics
+        target.bn2_var *= 1.5
+        s = ternary_frame(rng, (32, 24, 32))
+        r = rng.normal(0, 1, 32).astype(np.float32)
+        for done in (rng.random(32) < 0.3, np.ones(32, dtype=bool),
+                     np.zeros(32, dtype=bool)):
+            got = double_dqn_target(r, s, done, online, target, 0.95)
+            want = two_forward_target(r, s, done, online, target, 0.95)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for i in range(4):
+            for done in (False, True):
+                got = double_dqn_target(float(r[i]), s[i], done, online, target, 0.95)
+                assert type(got) is float
+                assert got == two_forward_target(float(r[i]), s[i], done, online,
+                                                 target, 0.95)
+
+    def test_forward_shared_equals_forward(self, rng):
+        nets = [init_params(NET, np.random.default_rng(k)) for k in range(3)]
+        s = ternary_frame(rng, (7, 1, 24, 32))
+        for got, net in zip(forward_shared(nets, s), nets):
+            assert np.array_equal(got, forward(net, s, mode="eval"))
+        other = init_params(NetworkConfig(height=24, width=32, action_count=3),
+                            np.random.default_rng(0))
+        with pytest.raises(ValueError, match="config"):
+            forward_shared([nets[0], other], s)
 
 
 class TestDoubleDqnTarget:
